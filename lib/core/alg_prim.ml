@@ -1,9 +1,8 @@
 module Graph = Qnet_graph.Graph
-module Logprob = Qnet_util.Logprob
 module Prng = Qnet_util.Prng
 
-let c_rounds = Qnet_telemetry.Metrics.counter "core.alg4.grow_rounds"
-
+(* Algorithm 4 is [Multi_group.prim_for_users] over every user, on a
+   fresh capacity state, grown from the chosen start user. *)
 let solve ?start ?rng ?budget g params =
   let users = Graph.users g in
   match users with
@@ -18,39 +17,6 @@ let solve ?start ?rng ?budget g params =
         | None, Some rng -> Prng.pick rng (Array.of_list users)
         | None, None -> first
       in
-      let capacity = Capacity.of_graph g in
-      let inside = Hashtbl.create (List.length users) in
-      Hashtbl.replace inside start ();
-      let outside u = not (Hashtbl.mem inside u) in
-      let remaining = ref (List.length users - 1) in
-      let rec grow acc =
-        if !remaining = 0 then Some (Ent_tree.of_channels (List.rev acc))
-        else begin
-          Qnet_telemetry.Metrics.Counter.incr c_rounds;
-          let best = ref None in
-          let consider (c : Channel.t) =
-            match !best with
-            | Some (b : Channel.t) when Logprob.compare_desc b.rate c.rate <= 0
-              ->
-                ()
-            | _ -> best := Some c
-          in
-          Hashtbl.iter
-            (fun src () ->
-              Routing.best_channels_from ?budget g params ~capacity ~src
-              |> List.iter (fun (dst, c) -> if outside dst then consider c))
-            inside;
-          match !best with
-          | None -> None
-          | Some c ->
-              if Logprob.is_impossible c.rate then None
-              else begin
-                Capacity.consume_channel capacity c.path;
-                let fresh = if outside c.src then c.src else c.dst in
-                Hashtbl.replace inside fresh ();
-                decr remaining;
-                grow (c :: acc)
-              end
-        end
-      in
-      grow []
+      Multi_group.prim_for_users ?budget g params
+        ~capacity:(Capacity.of_graph g)
+        ~users:(start :: List.filter (fun u -> u <> start) users)

@@ -19,4 +19,6 @@ val solve :
     (must be a user id), else a user drawn from [rng] (the paper picks
     uniformly at random), else the smallest user id.  The produced tree
     always respects switch capacities.  [budget] meters the underlying
-    Dijkstra runs (local capacity only — exhaustion leaks nothing). *)
+    Dijkstra runs (local capacity only — exhaustion leaks nothing).
+    This is {!Multi_group.prim_for_users} over every user, started at
+    the chosen one, on a fresh capacity state. *)

@@ -33,39 +33,42 @@ let validate_groups g groups =
         group)
     groups
 
+let c_rounds = Qnet_telemetry.Metrics.counter "core.alg4.grow_rounds"
+
 (* One best channel from the grown set to an outside user of the group,
-   under the shared residual capacity.  With an [oracle] the enumeration
+   under the shared residual capacity.  With an [oracle] the attachment
    becomes per-pair point queries (the oracle is expected to make each
-   query cheap — e.g. hierarchically); without one it keeps the paper's
-   one-SSSP-per-inside-user enumeration. *)
+   query cheap — e.g. hierarchically); without one it is a single
+   multi-source search ({!Routing.best_attachment}). *)
 let best_attachment ?exclude ?budget ?oracle g params ~capacity ~inside
     ~outside_users =
-  let best = ref None in
-  let consider (c : Channel.t) =
-    match !best with
-    | Some (b : Channel.t) when Logprob.compare_desc b.rate c.rate <= 0 -> ()
-    | _ -> best := Some c
-  in
-  (match oracle with
+  match oracle with
   | Some (query : Routing.channel_oracle) ->
       let exclude = Option.value exclude ~default:Routing.no_exclusion in
+      let best = ref None in
       Hashtbl.iter
         (fun src () ->
           List.iter
             (fun dst ->
               match query ~exclude ~budget ~capacity ~src ~dst with
-              | None -> ()
-              | Some c -> consider c)
+              | Some (c : Channel.t) -> (
+                  match !best with
+                  | Some (b : Channel.t)
+                    when Logprob.compare_desc b.rate c.rate <= 0 ->
+                      ()
+                  | _ -> best := Some c)
+              | None -> ())
             outside_users)
-        inside
+        inside;
+      !best
   | None ->
-      Hashtbl.iter
-        (fun src () ->
-          Routing.best_channels_from ?exclude ?budget g params ~capacity ~src
-          |> List.iter (fun (dst, (c : Channel.t)) ->
-                 if List.mem dst outside_users then consider c))
-        inside);
-  !best
+      (* In table order: the q = 0 direct-fiber scan breaks rate ties
+         by it, as the oracle scan above does. *)
+      let inside =
+        List.rev (Hashtbl.fold (fun u () acc -> u :: acc) inside [])
+      in
+      Routing.best_attachment ?exclude ?budget g params ~capacity ~inside
+        ~outside:(fun v -> List.mem v outside_users)
 
 let prim_for_users ?exclude ?budget ?oracle g params ~capacity ~users =
   match users with
@@ -83,12 +86,16 @@ let prim_for_users ?exclude ?budget ?oracle g params ~capacity ~users =
       in
       let rec grow acc =
         if !remaining = [] then Some (Ent_tree.of_channels (List.rev acc))
-        else
+        else begin
+          Qnet_telemetry.Metrics.Counter.incr c_rounds;
           match
             best_attachment ?exclude ?budget ?oracle g params ~capacity
               ~inside ~outside_users:!remaining
           with
           | None ->
+              rollback ();
+              None
+          | Some c when Logprob.is_impossible c.rate ->
               rollback ();
               None
           | Some c ->
@@ -98,6 +105,7 @@ let prim_for_users ?exclude ?budget ?oracle g params ~capacity ~users =
               Hashtbl.replace inside fresh ();
               remaining := List.filter (fun u -> u <> fresh) !remaining;
               grow (c :: acc)
+        end
       in
       (* Budget exhaustion mid-grow must not leak partial consumption
          into the shared capacity the engine asserts over. *)

@@ -67,7 +67,10 @@ val prim_for_users :
     on {!Qnet_overload.Budget.Exhausted} any channels already consumed
     from [capacity] are released before the exception propagates, so a
     fuel-starved call leaves shared capacity exactly as it found it.
-    [oracle] replaces the flat per-source channel enumeration with
-    point queries (see {!Routing.channel_oracle}) — how the
-    hierarchical router drops in under Algorithm 4 without this module
-    knowing about regions.  Exposed for reuse and testing. *)
+    Without [oracle] each grow round is one multi-source search
+    ({!Routing.best_attachment}), so a group of [k] users costs [k − 1]
+    searches.  [oracle] replaces it with point queries (see
+    {!Routing.channel_oracle}) — how the hierarchical router drops in
+    under Algorithm 4 without this module knowing about regions.  A
+    round whose best channel has an impossible rate fails like one that
+    finds none.  Exposed for reuse and testing. *)

@@ -1,5 +1,6 @@
 module Graph = Qnet_graph.Graph
 module Paths = Qnet_graph.Paths
+module Logprob = Qnet_util.Logprob
 module Tm = Qnet_telemetry.Metrics
 
 let c_sssp_runs = Tm.counter "core.routing.sssp_runs"
@@ -42,7 +43,7 @@ let direct_only g params ~exclude ~src =
       else None)
     (Graph.neighbors g src)
 
-let sssp ?target ?budget g params ~capacity ~exclude ~src =
+let sssp ?budget g params ~capacity ~exclude ~src =
   Tm.Counter.incr c_sssp_runs;
   let admit v =
     exclude.vertex_ok v
@@ -50,18 +51,35 @@ let sssp ?target ?budget g params ~capacity ~exclude ~src =
   in
   let expand v = Graph.is_switch g v in
   Paths.dijkstra g ~source:src ~weight:(edge_weight params) ~admit ~expand
-    ~edge_ok:exclude.edge_ok ?target ?budget ()
+    ~edge_ok:exclude.edge_ok ?budget ()
+
+let channel_of_path g params path =
+  match Channel.make g params path with
+  | Ok c ->
+      Tm.Counter.incr c_channels_built;
+      Some c
+  | Error _ -> None
 
 let channel_from_result g params result ~src ~dst =
-  match Paths.extract_path result ~source:src ~target:dst with
-  | None -> None
-  | Some path -> begin
-      match Channel.make g params path with
-      | Ok c ->
-          Tm.Counter.incr c_channels_built;
-          Some c
-      | Error _ -> None
-    end
+  Option.bind
+    (Paths.extract_path result ~source:src ~target:dst)
+    (channel_of_path g params)
+
+(* One early-exit search from the set [inside] to the nearest vertex
+   passing [stop], under Algorithm 1's rules: enter switches only while
+   they can relay, enter users only as endpoints, never relay through a
+   user.  Sources are always entered and expanded, so the rule needs no
+   "except the source" clause. *)
+let nearest_channel ?budget g params ~capacity ~exclude ~inside ~stop =
+  Tm.Counter.incr c_sssp_runs;
+  let admit v =
+    exclude.vertex_ok v
+    && (Graph.is_user g v || Capacity.can_relay capacity v)
+  in
+  Option.bind
+    (Paths.nearest g ~sources:inside ~stop ~weight:(edge_weight params) ~admit
+       ~expand:(Graph.is_switch g) ~edge_ok:exclude.edge_ok ?budget ())
+    (channel_of_path g params)
 
 let best_channel ?(exclude = no_exclusion) ?budget g params ~capacity ~src ~dst
     =
@@ -71,11 +89,36 @@ let best_channel ?(exclude = no_exclusion) ?budget g params ~capacity ~src ~dst
   if params.Params.q = 0. then
     List.assoc_opt dst (direct_only g params ~exclude ~src)
   else
-    (* A point query: let Dijkstra stop once [dst] settles instead of
-       settling the whole graph. *)
-    channel_from_result g params
-      (sssp ~target:dst ?budget g params ~capacity ~exclude ~src)
-      ~src ~dst
+    (* A point query: stop once [dst] settles instead of settling the
+       whole graph. *)
+    nearest_channel ?budget g params ~capacity ~exclude ~inside:[ src ]
+      ~stop:(fun v -> v = dst)
+
+let best_attachment ?(exclude = no_exclusion) ?budget g params ~capacity
+    ~inside ~outside =
+  List.iter (check_user g) inside;
+  if params.Params.q = 0. then begin
+    (* Direct fibers only: scan each inside user's, keeping the first
+       best (in inside order, then ascending user). *)
+    let best = ref None in
+    List.iter
+      (fun src ->
+        List.sort compare (direct_only g params ~exclude ~src)
+        |> List.iter (fun (dst, (c : Channel.t)) ->
+               if outside dst then
+                 match !best with
+                 | Some (b : Channel.t)
+                   when Logprob.compare_desc b.rate c.rate <= 0 ->
+                     ()
+                 | _ -> best := Some c))
+      inside;
+    !best
+  end
+  else
+    (* The best channel out of the set ends at the outside user nearest
+       to it, so one search seeded with every inside user finds it. *)
+    nearest_channel ?budget g params ~capacity ~exclude ~inside
+      ~stop:(fun v -> Graph.is_user g v && outside v)
 
 let best_channels_from ?(exclude = no_exclusion) ?budget g params ~capacity
     ~src =

@@ -51,6 +51,29 @@ val best_channel :
     @raise Invalid_argument if either endpoint is not a user or
     [src = dst]. *)
 
+val best_attachment :
+  ?exclude:exclusion ->
+  ?budget:Qnet_overload.Budget.t ->
+  Qnet_graph.Graph.t ->
+  Params.t ->
+  capacity:Capacity.t ->
+  inside:int list ->
+  outside:(int -> bool) ->
+  Channel.t option
+(** The maximum-rate capacity-feasible channel from any user of
+    [inside] to any user [v] with [outside v] — one Prim step of
+    Algorithm 4 — or [None] when no such channel exists.  One Dijkstra
+    seeded with every inside user, stopped when the first outside user
+    settles: the same channel as taking the best of
+    {!best_channels_from} over every inside user, for the price of one
+    partial search instead of [|inside|] whole-graph ones (on exact
+    rate ties the two may pick different, equally good channels).
+    [outside] must be [false] on inside users.  With [q = 0] only
+    direct fibers count, as in {!best_channels_from}.  [?budget]
+    charges heap pops and propagates
+    {!Qnet_overload.Budget.Exhausted}.
+    @raise Invalid_argument if some inside vertex is not a user. *)
+
 val best_channels_from :
   ?exclude:exclusion ->
   ?budget:Qnet_overload.Budget.t ->

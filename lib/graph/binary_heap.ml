@@ -54,35 +54,46 @@ let push h key value =
   h.keys.(!i) <- key;
   h.vals.(!i) <- value
 
+let min_key h =
+  if h.len = 0 then invalid_arg "Binary_heap.min_key: empty heap";
+  h.keys.(0)
+
+let min_value h =
+  if h.len = 0 then invalid_arg "Binary_heap.min_value: empty heap";
+  h.vals.(0)
+
+let drop_min h =
+  if h.len = 0 then invalid_arg "Binary_heap.drop_min: empty heap";
+  h.len <- h.len - 1;
+  if h.len > 0 then begin
+    (* Sift the displaced last entry down through a hole at the root. *)
+    let key = h.keys.(h.len) and value = h.vals.(h.len) in
+    let i = ref 0 in
+    let moving = ref true in
+    while !moving do
+      let l = (2 * !i) + 1 in
+      if l >= h.len then moving := false
+      else begin
+        let r = l + 1 in
+        let c = if r < h.len && h.keys.(r) < h.keys.(l) then r else l in
+        if h.keys.(c) < key then begin
+          h.keys.(!i) <- h.keys.(c);
+          h.vals.(!i) <- h.vals.(c);
+          i := c
+        end
+        else moving := false
+      end
+    done;
+    h.keys.(!i) <- key;
+    h.vals.(!i) <- value
+  end
+
 let pop_min h =
   if h.len = 0 then None
   else begin
-    let top_key = h.keys.(0) and top_val = h.vals.(0) in
-    h.len <- h.len - 1;
-    if h.len > 0 then begin
-      (* Sift the displaced last entry down through a hole at the
-         root. *)
-      let key = h.keys.(h.len) and value = h.vals.(h.len) in
-      let i = ref 0 in
-      let moving = ref true in
-      while !moving do
-        let l = (2 * !i) + 1 in
-        if l >= h.len then moving := false
-        else begin
-          let r = l + 1 in
-          let c = if r < h.len && h.keys.(r) < h.keys.(l) then r else l in
-          if h.keys.(c) < key then begin
-            h.keys.(!i) <- h.keys.(c);
-            h.vals.(!i) <- h.vals.(c);
-            i := c
-          end
-          else moving := false
-        end
-      done;
-      h.keys.(!i) <- key;
-      h.vals.(!i) <- value
-    end;
-    Some (top_key, top_val)
+    let top = (min_key h, min_value h) in
+    drop_min h;
+    Some top
   end
 
 let peek_min h = if h.len = 0 then None else Some (h.keys.(0), h.vals.(0))

@@ -28,7 +28,23 @@ val push : 'a t -> float -> 'a -> unit
 
 val pop_min : 'a t -> (float * 'a) option
 (** [pop_min h] removes and returns the minimum-key entry, or [None] if
-    empty.  Ties are broken arbitrarily. *)
+    empty.  Ties are broken arbitrarily.  Allocates the returned
+    option and pair; hot loops use {!min_key}, {!min_value} and
+    {!drop_min} instead, which together pop the same entry without
+    allocating. *)
+
+val min_key : 'a t -> float
+(** Key of the minimum entry, without removal or allocation.
+    @raise Invalid_argument if the heap is empty. *)
+
+val min_value : 'a t -> 'a
+(** Value of the minimum entry (the one {!min_key} reports).
+    @raise Invalid_argument if the heap is empty. *)
+
+val drop_min : 'a t -> unit
+(** Remove the minimum entry — the one {!min_key} and {!min_value}
+    report.  [pop_min] is exactly these three.
+    @raise Invalid_argument if the heap is empty. *)
 
 val peek_min : 'a t -> (float * 'a) option
 (** Minimum-key entry without removal. *)

@@ -11,24 +11,47 @@ let c_pops = Tm.counter "graph.dijkstra.heap_pops"
 let c_relaxations = Tm.counter "graph.dijkstra.edge_relaxations"
 let c_improvements = Tm.counter "graph.dijkstra.dist_improvements"
 
-(* Each domain reuses one scratch heap across its SSSP runs (the
+(* Each domain reuses one search workspace across its runs (the
    routing layer performs thousands per solve — see
-   [core.routing.sssp_runs]).  The take/put-back dance keeps a nested
-   run, should a [weight]/[admit] callback ever trigger one, on a
-   private freshly-allocated heap. *)
-let scratch_heap : int Binary_heap.t option ref Domain.DLS.key =
+   [core.routing.sssp_runs]).  The heap serves every search.  The
+   generation-stamped arrays serve {!nearest}: a slot is meaningful only
+   while its stamp equals the current generation, so starting a run is a
+   counter bump, not three O(n) allocations — the idea of the
+   hierarchical skeleton's workspace.  The arrays grow to the largest
+   graph seen.  The take/put-back dance keeps a nested run, should a
+   [weight]/[admit]/[stop] callback ever trigger one, on a private
+   freshly-allocated workspace. *)
+type scratch = {
+  heap : int Binary_heap.t;
+  mutable dist : float array;
+  mutable prev : int array;
+  mutable reached : int array;  (* dist/prev valid iff = gen *)
+  mutable settled : int array;  (* settled iff = gen *)
+  mutable gen : int;
+}
+
+let scratch_key : scratch option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
-let with_scratch_heap n f =
-  let cell = Domain.DLS.get scratch_heap in
-  match !cell with
-  | Some heap ->
-      cell := None;
-      Binary_heap.reset heap;
-      Fun.protect ~finally:(fun () -> cell := Some heap) (fun () -> f heap)
-  | None ->
-      let heap = Binary_heap.create ~capacity:(n + 1) () in
-      Fun.protect ~finally:(fun () -> cell := Some heap) (fun () -> f heap)
+let with_scratch n f =
+  let cell = Domain.DLS.get scratch_key in
+  let sc =
+    match !cell with
+    | Some sc ->
+        cell := None;
+        Binary_heap.reset sc.heap;
+        sc
+    | None ->
+        {
+          heap = Binary_heap.create ~capacity:(n + 1) ();
+          dist = [||];
+          prev = [||];
+          reached = [||];
+          settled = [||];
+          gen = 0;
+        }
+  in
+  Fun.protect ~finally:(fun () -> cell := Some sc) (fun () -> f sc)
 
 let dijkstra g ~source ~weight ?(admit = fun _ -> true)
     ?(expand = fun _ -> true) ?(edge_ok = fun _ -> true) ?target ?budget () =
@@ -50,7 +73,7 @@ let dijkstra g ~source ~weight ?(admit = fun _ -> true)
   let done_ = Array.make n false in
   let off = Graph.csr_offsets g and pairs = Graph.csr_pairs g in
   let target = match target with Some t -> t | None -> -1 in
-  with_scratch_heap n (fun heap ->
+  with_scratch n (fun { heap; _ } ->
       dist.(source) <- 0.;
       Binary_heap.push heap 0. source;
       Tm.Counter.incr c_pushes;
@@ -93,7 +116,109 @@ let dijkstra g ~source ~weight ?(admit = fun _ -> true)
       done);
   { dist; prev }
 
-let extract_path { dist; prev } ~source ~target =
+(* The stamped arrays grow to [n] on first use by a larger graph; the
+   fresh stamps (-1) are below every generation, so nothing stale
+   survives the swap. *)
+let ensure_size sc n =
+  if Array.length sc.reached < n then begin
+    sc.dist <- Array.make n infinity;
+    sc.prev <- Array.make n (-1);
+    sc.reached <- Array.make n (-1);
+    sc.settled <- Array.make n (-1)
+  end
+
+let nearest g ~sources ~stop ~weight ?(admit = fun _ -> true)
+    ?(expand = fun _ -> true) ?(edge_ok = fun _ -> true) ?budget () =
+  let n = Graph.vertex_count g in
+  List.iter
+    (fun s -> if s < 0 || s >= n then invalid_arg "Paths.nearest: bad source")
+    sources;
+  let charge =
+    match budget with
+    | None -> Fun.id
+    | Some b -> fun () -> Qnet_overload.Budget.tick b
+  in
+  Tm.Counter.incr c_runs;
+  let off = Graph.csr_offsets g and pairs = Graph.csr_pairs g in
+  with_scratch n (fun sc ->
+      ensure_size sc n;
+      sc.gen <- sc.gen + 1;
+      let gen = sc.gen and heap = sc.heap in
+      let dist = sc.dist and prev = sc.prev in
+      let reached = sc.reached and settled = sc.settled in
+      (* Work is tallied locally and flushed once per search — the
+         registry lookup per increment would cost more than the
+         relaxation it counts. *)
+      let pushes = ref 0 and pops = ref 0 in
+      let relaxations = ref 0 and improvements = ref 0 in
+      let flush () =
+        Tm.Counter.add c_pushes !pushes;
+        Tm.Counter.add c_pops !pops;
+        Tm.Counter.add c_relaxations !relaxations;
+        Tm.Counter.add c_improvements !improvements
+      in
+      (* A source is a reached vertex without predecessor: weights are
+         non-negative, so its 0 is never improved. *)
+      let is_source v = reached.(v) = gen && prev.(v) < 0 in
+      List.iter
+        (fun s ->
+          dist.(s) <- 0.;
+          prev.(s) <- -1;
+          reached.(s) <- gen;
+          Binary_heap.push heap 0. s;
+          incr pushes)
+        sources;
+      let found = ref (-1) in
+      let search () =
+        while !found < 0 && not (Binary_heap.is_empty heap) do
+          let d = Binary_heap.min_key heap and u = Binary_heap.min_value heap in
+          Binary_heap.drop_min heap;
+          charge ();
+          incr pops;
+          if settled.(u) <> gen && d <= dist.(u) then begin
+            settled.(u) <- gen;
+            if stop u then found := u
+            else if is_source u || expand u then
+              for k = off.(u) to off.(u + 1) - 1 do
+                let v = pairs.(2 * k) in
+                incr relaxations;
+                if
+                  settled.(v) <> gen
+                  && (is_source v || admit v)
+                  && edge_ok pairs.((2 * k) + 1)
+                then begin
+                  let w = weight (Graph.edge g pairs.((2 * k) + 1)) in
+                  if w < 0. then
+                    invalid_arg "Paths.nearest: negative edge weight";
+                  let cand = d +. w in
+                  if cand < (if reached.(v) = gen then dist.(v) else infinity)
+                  then begin
+                    dist.(v) <- cand;
+                    prev.(v) <- u;
+                    reached.(v) <- gen;
+                    incr improvements;
+                    Binary_heap.push heap cand v;
+                    incr pushes
+                  end
+                end
+              done
+          end
+        done
+      in
+      (match search () with
+      | () -> flush ()
+      | exception e ->
+          flush ();
+          raise e);
+      if !found < 0 then None
+      else begin
+        let rec walk v acc =
+          if prev.(v) < 0 then v :: acc else walk prev.(v) (v :: acc)
+        in
+        Some (walk !found [])
+      end)
+
+let extract_path ({ dist; prev } : dijkstra_result) ~source ~target =
   if dist.(target) = infinity then None
   else begin
     let rec walk v acc =

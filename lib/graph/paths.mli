@@ -52,6 +52,37 @@ val dijkstra :
     @raise Invalid_argument if any relaxed edge has negative weight.
     @raise Qnet_overload.Budget.Exhausted when the fuel runs out. *)
 
+val nearest :
+  Graph.t ->
+  sources:int list ->
+  stop:(int -> bool) ->
+  weight:(Graph.edge -> float) ->
+  ?admit:(int -> bool) ->
+  ?expand:(int -> bool) ->
+  ?edge_ok:(int -> bool) ->
+  ?budget:Qnet_overload.Budget.t ->
+  unit ->
+  int list option
+(** [nearest g ~sources ~stop ~weight ()] runs one Dijkstra seeded with
+    every vertex of [sources] at distance 0 and stops at the first
+    settled vertex [v] with [stop v].  It returns the vertex path from
+    the nearest source to [v] — the shortest such path over all
+    sources — or [None] when no reachable vertex satisfies [stop].  A
+    source that satisfies [stop] is returned as the one-vertex path.
+
+    [admit], [expand], [edge_ok] and [budget] mean exactly what they
+    mean for {!dijkstra}, with "the source" read as "any source":
+    sources are always entered and always expanded.  With one source
+    and [stop] the target test, the search pops, relaxes and returns
+    exactly what [dijkstra ~target] followed by {!extract_path} would.
+    Unlike {!dijkstra} it allocates no O(n) arrays: it runs on the
+    domain's reusable generation-stamped workspace, so an s-t query
+    costs what it settles, not the size of the graph.
+    @raise Invalid_argument on a bad source or a negative relaxed
+    edge weight.
+    @raise Qnet_overload.Budget.Exhausted when the fuel runs out; the
+    work done so far is still counted and the workspace returned. *)
+
 val extract_path : dijkstra_result -> source:int -> target:int -> int list option
 (** The vertex sequence [source; …; target] along the recorded
     predecessors, or [None] if [target] was unreachable. *)

@@ -1,8 +1,5 @@
 module Graph = Qnet_graph.Graph
-module Paths = Qnet_graph.Paths
 module Routing = Qnet_core.Routing
-module Channel = Qnet_core.Channel
-module Capacity = Qnet_core.Capacity
 module Multi_group = Qnet_core.Multi_group
 module Params = Qnet_core.Params
 module Tm = Qnet_telemetry.Metrics
@@ -35,9 +32,9 @@ let partition t = t.part
 let skeleton t = t.skeleton
 
 (* Exact search restricted to the corridor regions: Algorithm 1's
-   admission rule (enter switches only while they can relay, never relay
-   through users) plus the region membership test.  Identical weights,
-   so inside the corridor the result is the true optimum. *)
+   point query with the regions outside the corridor excluded.
+   Identical weights, so inside the corridor the result is the true
+   optimum. *)
 let corridor_channel t ~exclude ~budget ~capacity ~src ~dst corridor =
   List.iter (fun r -> t.in_corridor.(r) <- true) corridor;
   Fun.protect
@@ -45,26 +42,15 @@ let corridor_channel t ~exclude ~budget ~capacity ~src ~dst corridor =
       List.iter (fun r -> t.in_corridor.(r) <- false) corridor)
     (fun () ->
       let region_of = t.part.Partition.region_of in
-      let admit v =
-        t.in_corridor.(region_of.(v))
-        && exclude.Routing.vertex_ok v
-        &&
-        if Graph.is_user t.g v then v <> src
-        else Capacity.can_relay capacity v
+      let exclude =
+        {
+          exclude with
+          Routing.vertex_ok =
+            (fun v ->
+              t.in_corridor.(region_of.(v)) && exclude.Routing.vertex_ok v);
+        }
       in
-      let res =
-        Paths.dijkstra t.g ~source:src
-          ~weight:(Routing.edge_weight t.params)
-          ~admit
-          ~expand:(fun v -> Graph.is_switch t.g v)
-          ~edge_ok:exclude.Routing.edge_ok ~target:dst ?budget ()
-      in
-      match Paths.extract_path res ~source:src ~target:dst with
-      | None -> None
-      | Some path -> (
-          match Channel.make t.g t.params path with
-          | Ok c -> Some c
-          | Error _ -> None))
+      Routing.best_channel ~exclude ?budget t.g t.params ~capacity ~src ~dst)
 
 let best_channel ?(exclude = Routing.no_exclusion) ?budget t ~capacity ~src
     ~dst =

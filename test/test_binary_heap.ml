@@ -114,6 +114,59 @@ let prop_heapsort =
       let popped = List.map fst (drain h) in
       popped = List.sort Float.compare keys)
 
+(* The allocation-free pop: min_key/min_value read the entry pop_min
+   would return, drop_min removes exactly it. *)
+let test_peek_and_drop () =
+  let h = Heap.create () in
+  List.iter (fun k -> Heap.push h k (int_of_float k)) [ 4.; 2.; 7.; 1. ];
+  Alcotest.(check (float 0.)) "min key" 1. (Heap.min_key h);
+  check_int "min value" 1 (Heap.min_value h);
+  check_int "reading removes nothing" 4 (Heap.length h);
+  Heap.drop_min h;
+  check_int "one dropped" 3 (Heap.length h);
+  check_bool "next minimum" true (Heap.peek_min h = Some (2., 2));
+  Heap.clear h;
+  Alcotest.check_raises "min_key on empty"
+    (Invalid_argument "Binary_heap.min_key: empty heap") (fun () ->
+      ignore (Heap.min_key h));
+  Alcotest.check_raises "min_value on empty"
+    (Invalid_argument "Binary_heap.min_value: empty heap") (fun () ->
+      ignore (Heap.min_value h));
+  Alcotest.check_raises "drop_min on empty"
+    (Invalid_argument "Binary_heap.drop_min: empty heap") (fun () ->
+      Heap.drop_min h)
+
+(* Property: over a random interleaving of pushes and pops, draining by
+   min_key/min_value/drop_min yields the same entries in the same order
+   as pop_min on a twin heap — ties included. *)
+let prop_drop_matches_pop =
+  QCheck.Test.make ~name:"drop_min pops what pop_min pops" ~count:200
+    QCheck.(list (option (int_bound 20)))
+    (fun ops ->
+      let a = Heap.create () and b = Heap.create () in
+      let same = ref true in
+      let pop_both () =
+        match Heap.pop_min a with
+        | None -> same := !same && Heap.is_empty b
+        | Some (k, v) ->
+            same :=
+              !same && Heap.min_key b = k && Heap.min_value b = v;
+            Heap.drop_min b
+      in
+      List.iteri
+        (fun i op ->
+          match op with
+          | Some k ->
+              (* Integer keys make ties common; the value tells twins apart. *)
+              Heap.push a (float_of_int k) i;
+              Heap.push b (float_of_int k) i
+          | None -> pop_both ())
+        ops;
+      while not (Heap.is_empty a) do
+        pop_both ()
+      done;
+      !same && Heap.is_empty b)
+
 let () =
   Alcotest.run "binary_heap"
     [
@@ -124,6 +177,7 @@ let () =
           Alcotest.test_case "ordering" `Quick test_ordering;
           Alcotest.test_case "duplicates" `Quick test_duplicates;
           Alcotest.test_case "interleaved" `Quick test_interleaved;
+          Alcotest.test_case "peek and drop" `Quick test_peek_and_drop;
         ] );
       ( "capacity",
         [
@@ -133,5 +187,8 @@ let () =
           Alcotest.test_case "special keys" `Quick test_negative_and_inf_keys;
         ] );
       ( "properties",
-        [ QCheck_alcotest.to_alcotest prop_heapsort ] );
+        [
+          QCheck_alcotest.to_alcotest prop_heapsort;
+          QCheck_alcotest.to_alcotest prop_drop_matches_pop;
+        ] );
     ]

@@ -192,6 +192,149 @@ let test_failed_group_rolls_back () =
         (gc.Multi_group.tree <> None)
   | _ -> Alcotest.fail "two groups expected")
 
+(* ---- the multi-source attachment against the per-source reference ---- *)
+
+module Cases = Routing_cases
+module Tm = Qnet_telemetry.Metrics
+module Budget = Qnet_overload.Budget
+
+(* Every prefix split of the group into inside / outside users. *)
+let splits group =
+  List.init
+    (List.length group - 1)
+    (fun i ->
+      ( List.filteri (fun j _ -> j <= i) group,
+        List.filteri (fun j _ -> j > i) group ))
+
+(* A returned attachment must be a real one: inside to outside, clear of
+   the exclusion, relaying only through switches that can. *)
+let attachment_valid g exclude capacity inside outside (c : Channel.t) =
+  let ends_ok a b = List.mem a inside && List.mem b outside in
+  (ends_ok c.src c.dst || ends_ok c.dst c.src)
+  && Routing.path_ok g exclude c.path
+  && List.for_all (Capacity.can_relay capacity) (Channel.interior_switches c)
+
+let prop_attachment_identical =
+  QCheck.Test.make ~name:"tie-free: attachment = per-source reference"
+    ~count:300 (Cases.arb ~integer_lengths:false) (fun case ->
+      let { Cases.g; exclude; group } = Cases.instance case in
+      let capacity = Capacity.of_graph g in
+      List.for_all
+        (fun (inside, outside) ->
+          let member v = List.mem v outside in
+          let fast =
+            Routing.best_attachment ~exclude g params ~capacity ~inside
+              ~outside:member
+          in
+          let slow =
+            Cases.reference_attachment ~exclude g params ~capacity ~inside
+              ~outside:member
+          in
+          Option.map (fun (c : Channel.t) -> c.path) fast
+          = Option.map (fun (c : Channel.t) -> c.path) slow
+          &&
+          match fast with
+          | None -> true
+          | Some c -> attachment_valid g exclude capacity inside outside c)
+        (splits group))
+
+let prop_prim_identical =
+  QCheck.Test.make ~name:"tie-free: prim_for_users = per-source reference"
+    ~count:300 (Cases.arb ~integer_lengths:false) (fun case ->
+      let { Cases.g; exclude; group } = Cases.instance case in
+      let fast =
+        Multi_group.prim_for_users ~exclude g params
+          ~capacity:(Capacity.of_graph g) ~users:group
+      in
+      let slow =
+        Cases.reference_prim ~exclude g params ~capacity:(Capacity.of_graph g)
+          ~users:group
+      in
+      Cases.paths (Option.map (fun t -> t.Ent_tree.channels) fast)
+      = Cases.paths slow)
+
+(* With integer lengths equal-rate channels abound, and the two searches
+   may break a tie differently — but never pick a worse channel. *)
+let prop_attachment_rate_on_ties =
+  QCheck.Test.make ~name:"ties: attachment rate = reference rate" ~count:300
+    (Cases.arb ~integer_lengths:true) (fun case ->
+      let { Cases.g; exclude; group } = Cases.instance case in
+      let capacity = Capacity.of_graph g in
+      List.for_all
+        (fun (inside, outside) ->
+          let member v = List.mem v outside in
+          match
+            ( Routing.best_attachment ~exclude g params ~capacity ~inside
+                ~outside:member,
+              Cases.reference_attachment ~exclude g params ~capacity ~inside
+                ~outside:member )
+          with
+          | None, None -> true
+          | Some a, Some b ->
+              let pa = Channel.rate_prob a and pb = Channel.rate_prob b in
+              Float.abs (pa -. pb) <= 1e-12 *. Float.max pa pb
+              && attachment_valid g exclude capacity inside outside a
+          | _ -> false)
+        (splits group))
+
+(* One search per Prim step: a group of k users that never runs short of
+   qubits costs exactly k - 1 routing searches and builds k - 1
+   channels. *)
+let test_one_search_per_step () =
+  let g = network ~qubits:50 4 in
+  let users = Graph.users g in
+  Tm.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Tm.set_enabled false;
+      Tm.reset ())
+    (fun () ->
+      for k = 2 to 6 do
+        Tm.reset ();
+        let group = List.filteri (fun i _ -> i < k) users in
+        match
+          Multi_group.prim_for_users g params ~capacity:(Capacity.of_graph g)
+            ~users:group
+        with
+        | None -> Alcotest.fail "uncongested group must be served"
+        | Some _ ->
+            let value name = Tm.Counter.value (Tm.counter name) in
+            check_int
+              (Printf.sprintf "sssp runs, k = %d" k)
+              (k - 1)
+              (value "core.routing.sssp_runs");
+            check_int
+              (Printf.sprintf "channels built, k = %d" k)
+              (k - 1)
+              (value "core.routing.channels_built")
+      done)
+
+(* Fuel counts heap pops.  The per-source search pays a whole-graph SSSP
+   per inside user per step; the multi-source one stops at the first
+   outside user.  So the exact allowance the new search spends is too
+   small for the old one. *)
+let test_fuel_now_enough () =
+  let g = network 3 in
+  let users = Graph.users g in
+  let grow_fast fuel =
+    Multi_group.prim_for_users ~budget:(Budget.create ~fuel) g params
+      ~capacity:(Capacity.of_graph g) ~users
+  in
+  let meter = Budget.create ~fuel:max_int in
+  let fast =
+    Multi_group.prim_for_users ~budget:meter g params
+      ~capacity:(Capacity.of_graph g) ~users
+  in
+  check_bool "served unmetered" true (fast <> None);
+  let spent = Budget.spent meter in
+  check_bool "served on exactly the fuel it spends" true
+    (grow_fast spent <> None);
+  Alcotest.check_raises "the per-source search runs dry on it"
+    (Budget.Exhausted { fuel = spent }) (fun () ->
+      ignore
+        (Cases.reference_prim ~budget:(Budget.create ~fuel:spent) g params
+           ~capacity:(Capacity.of_graph g) ~users))
+
 let () =
   Alcotest.run "multi_group"
     [
@@ -208,5 +351,14 @@ let () =
           Alcotest.test_case "summary" `Quick test_summary_fields;
           Alcotest.test_case "contention" `Quick test_capacity_contention;
           Alcotest.test_case "rollback" `Quick test_failed_group_rolls_back;
+        ] );
+      ( "attachment",
+        [
+          QCheck_alcotest.to_alcotest prop_attachment_identical;
+          QCheck_alcotest.to_alcotest prop_prim_identical;
+          QCheck_alcotest.to_alcotest prop_attachment_rate_on_ties;
+          Alcotest.test_case "one search per step" `Quick
+            test_one_search_per_step;
+          Alcotest.test_case "fuel now enough" `Quick test_fuel_now_enough;
         ] );
     ]

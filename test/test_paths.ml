@@ -174,6 +174,189 @@ let test_target_with_filters () =
     (Invalid_argument "Paths.dijkstra: bad target") (fun () ->
       ignore (Paths.dijkstra g ~source:v0 ~weight:length_weight ~target:99 ()))
 
+(* ---- nearest: one early-exit multi-source search ---- *)
+
+module Tm = Qnet_telemetry.Metrics
+module Budget = Qnet_overload.Budget
+
+let counter name = Tm.Counter.value (Tm.counter name)
+
+let with_metrics f =
+  Tm.set_enabled true;
+  Tm.reset ();
+  Fun.protect ~finally:(fun () -> Tm.set_enabled false; Tm.reset ()) f
+
+(* The work of one search is pinned exactly: from v0 to v4 it pops v0,
+   v1, v3, v4 (v2 stays on the frontier) and relaxes the 2 + 2 + 3
+   edges of the three expanded vertices. *)
+let test_nearest_counts () =
+  let g, (v0, v1, _, v3, v4) = diamond () in
+  with_metrics (fun () ->
+      let path =
+        Paths.nearest g ~sources:[ v0 ] ~stop:(fun v -> v = v4)
+          ~weight:length_weight ()
+      in
+      Alcotest.(check (option (list int))) "path" (Some [ v0; v1; v3; v4 ]) path;
+      check_int "runs" 1 (counter "graph.dijkstra.runs");
+      check_int "pops" 4 (counter "graph.dijkstra.heap_pops");
+      check_int "relaxations" 7 (counter "graph.dijkstra.edge_relaxations");
+      check_int "pushes" 5 (counter "graph.dijkstra.heap_pushes");
+      check_int "improvements" 4 (counter "graph.dijkstra.dist_improvements"))
+
+(* The tallies reach the registry even when the fuel runs out mid-search:
+   two pops are paid for, the third raises before it is counted. *)
+let test_nearest_counts_on_exhaustion () =
+  let g, (v0, v1, _, v3, v4) = diamond () in
+  with_metrics (fun () ->
+      (match
+         Paths.nearest g ~sources:[ v0 ] ~stop:(fun v -> v = v4)
+           ~weight:length_weight ~budget:(Budget.create ~fuel:2) ()
+       with
+      | _ -> Alcotest.fail "expected the budget to run out"
+      | exception Budget.Exhausted _ -> ());
+      check_int "pops flushed" 2 (counter "graph.dijkstra.heap_pops");
+      check_int "relaxations flushed" 4
+        (counter "graph.dijkstra.edge_relaxations"));
+  (* The workspace went back to the domain: the next search is sound. *)
+  Alcotest.(check (option (list int)))
+    "search after exhaustion" (Some [ v0; v1; v3; v4 ])
+    (Paths.nearest g ~sources:[ v0 ] ~stop:(fun v -> v = v4)
+       ~weight:length_weight ())
+
+(* One source and a target test is [dijkstra ~target] + [extract_path],
+   for every pair and under the admit/expand filters — and an infinite
+   weight, like a missing fiber, reaches nothing. *)
+let test_nearest_is_point_query () =
+  let g, (v0, v1, v2, _, _) = diamond () in
+  let n = Graph.vertex_count g in
+  let cut_v0_v1 (e : Graph.edge) =
+    if (e.Graph.a = v0 && e.Graph.b = v1) || (e.Graph.a = v1 && e.Graph.b = v0)
+    then infinity
+    else length_weight e
+  in
+  let filters =
+    [
+      ((fun _ -> true), (fun _ -> true), length_weight);
+      ((fun v -> v <> v1), (fun _ -> true), length_weight);
+      ((fun _ -> true), (fun v -> v <> v2), length_weight);
+      ((fun _ -> true), (fun v -> v <> v2), cut_v0_v1);
+    ]
+  in
+  List.iter
+    (fun (admit, expand, weight) ->
+      for s = 0 to n - 1 do
+        for t = 0 to n - 1 do
+          let r =
+            Paths.dijkstra g ~source:s ~weight ~admit ~expand ~target:t ()
+          in
+          Alcotest.(check (option (list int)))
+            (Printf.sprintf "%d -> %d" s t)
+            (Paths.extract_path r ~source:s ~target:t)
+            (Paths.nearest g ~sources:[ s ] ~stop:(fun v -> v = t) ~weight
+               ~admit ~expand ())
+        done
+      done)
+    filters
+
+(* Several sources: the path starts at the source nearest to the first
+   vertex passing [stop], and its length is the minimum over sources. *)
+let test_nearest_multi_source () =
+  let g, (v0, v1, v2, v3, v4) = diamond () in
+  Alcotest.(check (option (list int)))
+    "v2 is nearer v0 than v4" (Some [ v0; v2 ])
+    (Paths.nearest g ~sources:[ v4; v0 ] ~stop:(fun v -> v = v2)
+       ~weight:length_weight ());
+  Alcotest.(check (option (list int)))
+    "first settled of two stop vertices" (Some [ v0; v1; v3 ])
+    (Paths.nearest g ~sources:[ v0 ] ~stop:(fun v -> v = v3 || v = v2)
+       ~weight:length_weight ());
+  Alcotest.(check (option (list int)))
+    "a source passing stop is its own path" (Some [ v1 ])
+    (Paths.nearest g ~sources:[ v0; v1 ] ~stop:(fun v -> v = v1)
+       ~weight:length_weight ());
+  Alcotest.(check (option (list int)))
+    "no sources" None
+    (Paths.nearest g ~sources:[] ~stop:(fun _ -> true) ~weight:length_weight ());
+  let n = Graph.vertex_count g in
+  let full = Array.init n (fun s -> Paths.dijkstra g ~source:s ~weight:length_weight ()) in
+  for a = 0 to n - 1 do
+    for b = a + 1 to n - 1 do
+      for t = 0 to n - 1 do
+        if t <> a && t <> b then
+          match
+            Paths.nearest g ~sources:[ a; b ] ~stop:(fun v -> v = t)
+              ~weight:length_weight ()
+          with
+          | None -> Alcotest.fail "diamond is connected"
+          | Some path ->
+              check_bool "starts at a source" true
+                (List.hd path = a || List.hd path = b);
+              Alcotest.(check (float 1e-12))
+                (Printf.sprintf "{%d,%d} -> %d" a b t)
+                (Float.min full.(a).Paths.dist.(t) full.(b).Paths.dist.(t))
+                (Paths.path_length g path)
+      done
+    done
+  done
+
+let test_nearest_rejects () =
+  let g, (v0, _, _, _, v4) = diamond () in
+  Alcotest.check_raises "bad source"
+    (Invalid_argument "Paths.nearest: bad source") (fun () ->
+      ignore
+        (Paths.nearest g ~sources:[ v0; 99 ] ~stop:(fun _ -> false)
+           ~weight:length_weight ()));
+  Alcotest.check_raises "negative weight"
+    (Invalid_argument "Paths.nearest: negative edge weight") (fun () ->
+      ignore
+        (Paths.nearest g ~sources:[ v0 ] ~stop:(fun v -> v = v4)
+           ~weight:(fun _ -> -1.) ()))
+
+(* A line of [n] vertices with unit fibers. *)
+let line n =
+  let b = Graph.Builder.create () in
+  let vs =
+    Array.init n (fun i ->
+        Graph.Builder.add_vertex b ~kind:Graph.Switch ~qubits:2
+          ~x:(float_of_int i) ~y:0.)
+  in
+  for i = 1 to n - 1 do
+    ignore (Graph.Builder.add_edge b vs.(i - 1) vs.(i) 1.)
+  done;
+  Graph.Builder.freeze b
+
+(* The workspace is shared by every search of the domain: a small graph,
+   then a 10k-vertex one, then the small one again must each see a
+   clean slate, and so must a search nested inside a callback of
+   another. *)
+let test_nearest_scratch_reuse () =
+  let small, (v0, v1, _, v3, v4) = diamond () in
+  let big = line 10_000 in
+  let small_path () =
+    Paths.nearest small ~sources:[ v0 ] ~stop:(fun v -> v = v4)
+      ~weight:length_weight ()
+  in
+  let big_path () =
+    Paths.nearest big ~sources:[ 9_999 ] ~stop:(fun v -> v = 0)
+      ~weight:length_weight ()
+  in
+  let expect_small = Some [ v0; v1; v3; v4 ] in
+  let expect_big = Some (List.init 10_000 (fun i -> 9_999 - i)) in
+  Alcotest.(check (option (list int))) "small" expect_small (small_path ());
+  Alcotest.(check (option (list int))) "big" expect_big (big_path ());
+  Alcotest.(check (option (list int))) "small again" expect_small (small_path ());
+  let inner = ref None in
+  let weight e =
+    if !inner = None then inner := Some (big_path ());
+    length_weight e
+  in
+  Alcotest.(check (option (list int)))
+    "outer search around a nested one" expect_small
+    (Paths.nearest small ~sources:[ v0 ] ~stop:(fun v -> v = v4) ~weight ());
+  Alcotest.(check (option (option (list int))))
+    "nested search" (Some expect_big) !inner;
+  Alcotest.(check (option (list int))) "big after nesting" expect_big (big_path ())
+
 let () =
   Alcotest.run "paths"
     [
@@ -190,6 +373,17 @@ let () =
           Alcotest.test_case "target early exit" `Quick test_target_early_exit;
           Alcotest.test_case "target with filters" `Quick
             test_target_with_filters;
+        ] );
+      ( "nearest",
+        [
+          Alcotest.test_case "work counts" `Quick test_nearest_counts;
+          Alcotest.test_case "counts flushed on exhaustion" `Quick
+            test_nearest_counts_on_exhaustion;
+          Alcotest.test_case "point query = dijkstra ~target" `Quick
+            test_nearest_is_point_query;
+          Alcotest.test_case "multi-source" `Quick test_nearest_multi_source;
+          Alcotest.test_case "rejects" `Quick test_nearest_rejects;
+          Alcotest.test_case "scratch reuse" `Quick test_nearest_scratch_reuse;
         ] );
       ( "traversal",
         [

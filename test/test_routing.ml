@@ -177,6 +177,100 @@ let test_channel_is_optimal_vs_exhaustive () =
   in
   feq "matches brute force" brute best
 
+(* ---- point queries against the full Dijkstra ---- *)
+
+module Paths = Qnet_graph.Paths
+module Cases = Routing_cases
+
+(* Algorithm 1 spelt out on [Paths.dijkstra ~target]: the slow reference
+   for [best_channel]'s early-exit search. *)
+let reference_channel ?(exclude = Routing.no_exclusion) g params ~capacity
+    ~src ~dst =
+  let admit v =
+    exclude.Routing.vertex_ok v
+    &&
+    if Graph.is_user g v then v <> src else Capacity.can_relay capacity v
+  in
+  let r =
+    Paths.dijkstra g ~source:src ~weight:(Routing.edge_weight params) ~admit
+      ~expand:(Graph.is_switch g) ~edge_ok:exclude.Routing.edge_ok ~target:dst
+      ()
+  in
+  Option.map
+    (fun p -> (Channel.make_exn g params p).Channel.path)
+    (Paths.extract_path r ~source:src ~target:dst)
+
+let point_queries_agree ?exclude g ~capacity users =
+  List.for_all
+    (fun src ->
+      List.for_all
+        (fun dst ->
+          src = dst
+          || Option.map
+               (fun (c : Channel.t) -> c.path)
+               (Routing.best_channel ?exclude g params ~capacity ~src ~dst)
+             = reference_channel ?exclude g params ~capacity ~src ~dst)
+        users)
+    users
+
+let prop_best_channel_is_dijkstra =
+  QCheck.Test.make ~name:"best_channel = extract_path of dijkstra ~target"
+    ~count:200
+    QCheck.(pair (Cases.arb ~integer_lengths:false) bool)
+    (fun (case, integer_lengths) ->
+      let { Cases.g; exclude; group } =
+        Cases.instance { case with Cases.integer_lengths }
+      in
+      point_queries_agree ~exclude g ~capacity:(Capacity.of_graph g) group)
+
+(* The search workspace is per domain and outlives graphs: a small
+   network, a 10k-switch grid, then the small one again must each route
+   as the fresh-array reference does — and so must a query issued from
+   inside another query's admission callback. *)
+let test_scratch_reuse_across_graphs () =
+  let net n seed =
+    let spec =
+      Qnet_topology.Spec.create ~n_users:4 ~n_switches:n ~qubits_per_switch:4
+        ()
+    in
+    Qnet_topology.Grid.generate (Qnet_util.Prng.create seed) spec
+  in
+  let small = net 30 1 and big = net 10_000 2 in
+  let agree name g =
+    check_bool name true
+      (point_queries_agree g ~capacity:(Capacity.of_graph g) (Graph.users g))
+  in
+  agree "small" small;
+  agree "10k" big;
+  agree "small again" small;
+  let big_capacity = Capacity.of_graph big in
+  let bsrc, bdst =
+    match Graph.users big with a :: b :: _ -> (a, b) | _ -> assert false
+  in
+  let nested = ref None in
+  let exclude =
+    {
+      Routing.no_exclusion with
+      vertex_ok =
+        (fun _ ->
+          if !nested = None then
+            nested :=
+              Some
+                (Option.map
+                   (fun (c : Channel.t) -> c.path)
+                   (Routing.best_channel big params ~capacity:big_capacity
+                      ~src:bsrc ~dst:bdst));
+          true);
+    }
+  in
+  check_bool "outer query around a nested one" true
+    (point_queries_agree ~exclude small ~capacity:(Capacity.of_graph small)
+       (Graph.users small));
+  let expected =
+    reference_channel big params ~capacity:big_capacity ~src:bsrc ~dst:bdst
+  in
+  check_bool "nested query" true (!nested = Some expected)
+
 let () =
   Alcotest.run "routing"
     [
@@ -204,5 +298,11 @@ let () =
           Alcotest.test_case "all_pairs_best" `Quick test_all_pairs_best;
           Alcotest.test_case "endpoint validation" `Quick
             test_endpoint_validation;
+        ] );
+      ( "early exit",
+        [
+          QCheck_alcotest.to_alcotest prop_best_channel_is_dijkstra;
+          Alcotest.test_case "scratch reuse across graphs" `Quick
+            test_scratch_reuse_across_graphs;
         ] );
     ]

@@ -167,7 +167,6 @@ type req_state = {
   mutable attempts : int;
   mutable backoff : float;
   mutable waiting : bool;
-  mutable resolved : bool;
 }
 
 (* A lease in service, with everything a mid-lease fault needs to
@@ -187,9 +186,13 @@ type active = {
 (* Checkpoint snapshots.
 
    A snapshot is a pure-data image of the complete engine state at an
-   event-loop boundary: every pending event (with its heap seq, so the
-   FIFO tiebreaker survives the round-trip), per-request progress, the
-   active leases as channel vertex-paths (trees are rebuilt against the
+   event-loop boundary: how far the run has read each pre-scheduled
+   sequence (arrivals, faults, reconfigurations — the restoring run
+   rebuilds them from its own inputs, and a length + digest pins them
+   to the snapshot's), the events pushed during the run that are still
+   pending (with their heap seqs, so the FIFO tiebreaker survives the
+   round-trip), the progress of every unsettled request, the active
+   leases as channel vertex-paths (trees are rebuilt against the
    restoring run's graph, which re-validates them), settled outcomes,
    capacity quota/residual deltas, and the mutable state of every
    collaborating subsystem (limiter, health, tiered-policy breakers,
@@ -197,12 +200,9 @@ type active = {
    restore replays the original workload, so the ids resolve against
    the [~requests] the caller passes back in. *)
 
-type s_event =
-  | SE_arrival of int
-  | SE_retry of int
-  | SE_expiry of int
-  | SE_fault of Fsched.event
-  | SE_reconf of Reconfig.event
+type s_event = SE_retry of int | SE_expiry of int
+
+type s_cursor = { sc_next : int; sc_length : int; sc_digest : int }
 
 type s_resolution =
   | SR_served of {
@@ -229,7 +229,6 @@ type s_state = {
   ss_attempts : int;
   ss_backoff : float;
   ss_waiting : bool;
-  ss_resolved : bool;
 }
 
 type s_active = {
@@ -256,6 +255,9 @@ type snapshot = {
   s_next_ckpt : float;
       (* the uninterrupted run's next checkpoint instant, so a restored
          continuation emits its own checkpoints at the same instants *)
+  s_arrivals : s_cursor;
+  s_faults : s_cursor;
+  s_reconfig : s_cursor;
   s_events : (float * int * s_event) list;
   s_next_seq : int;
   s_states : s_state list;
@@ -306,7 +308,7 @@ type transition =
   | T_provision of { at : float; switch : int; qubits : int }
 
 let snapshot_at s = s.s_at
-let snapshot_version = "muerp-engine-snapshot/2"
+let snapshot_version = "muerp-engine-snapshot/3"
 
 module Sexp = Qnet_util.Sexp
 
@@ -315,22 +317,22 @@ let sx_paths paths =
   Sexp.list (List.map (fun p -> Sexp.list (List.map Sexp.int p)) paths)
 
 let s_event_to_sexp = function
-  | SE_arrival id -> Sexp.list [ Sexp.atom "arrival"; Sexp.int id ]
   | SE_retry id -> Sexp.list [ Sexp.atom "retry"; Sexp.int id ]
   | SE_expiry lid -> Sexp.list [ Sexp.atom "expiry"; Sexp.int lid ]
-  | SE_fault fe ->
-      let el =
-        match fe.Fsched.element with
-        | Fsched.Link e -> Sexp.list [ Sexp.atom "link"; Sexp.int e ]
-        | Fsched.Switch v -> Sexp.list [ Sexp.atom "switch"; Sexp.int v ]
-      in
-      Sexp.list
-        [ Sexp.atom "fault"; Sexp.float fe.Fsched.time; el;
-          sx_bool fe.Fsched.up ]
-  | SE_reconf re ->
-      Sexp.list
-        [ Sexp.atom "reconfig"; Sexp.float re.Reconfig.time;
-          Reconfig.change_to_sexp re.Reconfig.change ]
+
+let s_cursor_to_sexp c =
+  Sexp.list [ Sexp.int c.sc_next; Sexp.int c.sc_length; Sexp.int c.sc_digest ]
+
+let s_state_to_sexp ss =
+  Sexp.list
+    [ Sexp.int ss.ss_id; Sexp.int ss.ss_attempts; Sexp.float ss.ss_backoff;
+      sx_bool ss.ss_waiting ]
+
+let s_active_to_sexp sa =
+  Sexp.list
+    [ Sexp.int sa.sa_lid; Sexp.int sa.sa_id; Sexp.float sa.sa_started;
+      Sexp.float sa.sa_finish; Sexp.int sa.sa_recoveries; Sexp.int sa.sa_tier;
+      sx_paths sa.sa_paths ]
 
 let s_resolution_to_sexp = function
   | SR_served r ->
@@ -418,29 +420,17 @@ let snapshot_to_sexp s =
       fld "next-ckpt" [ Sexp.float s.s_next_ckpt ];
       fld "next-seq" [ Sexp.int s.s_next_seq ];
       fld "next-lease" [ Sexp.int s.s_next_lease ];
+      fld "arrivals" [ s_cursor_to_sexp s.s_arrivals ];
+      fld "faults" [ s_cursor_to_sexp s.s_faults ];
+      fld "reconfig" [ s_cursor_to_sexp s.s_reconfig ];
       fld "events"
         (List.map
            (fun (t, seq, ev) ->
              Sexp.list [ Sexp.float t; Sexp.int seq; s_event_to_sexp ev ])
            s.s_events);
-      fld "states"
-        (List.map
-           (fun ss ->
-             Sexp.list
-               [ Sexp.int ss.ss_id; Sexp.int ss.ss_attempts;
-                 Sexp.float ss.ss_backoff; sx_bool ss.ss_waiting;
-                 sx_bool ss.ss_resolved ])
-           s.s_states);
+      fld "states" (List.map s_state_to_sexp s.s_states);
       fld "queue" (ints s.s_queue);
-      fld "active"
-        (List.map
-           (fun sa ->
-             Sexp.list
-               [ Sexp.int sa.sa_lid; Sexp.int sa.sa_id;
-                 Sexp.float sa.sa_started; Sexp.float sa.sa_finish;
-                 Sexp.int sa.sa_recoveries; Sexp.int sa.sa_tier;
-                 sx_paths sa.sa_paths ])
-           s.s_active);
+      fld "active" (List.map s_active_to_sexp s.s_active);
       fld "outcomes"
         (List.map
            (fun (id, res) ->
@@ -543,34 +533,44 @@ let sx_pair = function
   | _ -> Error "expected an (int int) pair"
 
 let s_event_of_sexp = function
-  | Sexp.List [ Sexp.Atom "arrival"; id ] ->
-      let* id = Sexp.to_int id in
-      Ok (SE_arrival id)
   | Sexp.List [ Sexp.Atom "retry"; id ] ->
       let* id = Sexp.to_int id in
       Ok (SE_retry id)
   | Sexp.List [ Sexp.Atom "expiry"; lid ] ->
       let* lid = Sexp.to_int lid in
       Ok (SE_expiry lid)
-  | Sexp.List [ Sexp.Atom "fault"; t; el; up ] ->
-      let* time = Sexp.to_float t in
-      let* element =
-        match el with
-        | Sexp.List [ Sexp.Atom "link"; e ] ->
-            let* e = Sexp.to_int e in
-            Ok (Fsched.Link e)
-        | Sexp.List [ Sexp.Atom "switch"; v ] ->
-            let* v = Sexp.to_int v in
-            Ok (Fsched.Switch v)
-        | _ -> Error "malformed fault element"
-      in
-      let* up = sx_to_bool up in
-      Ok (SE_fault { Fsched.time; element; up })
-  | Sexp.List [ Sexp.Atom "reconfig"; t; c ] ->
-      let* time = Sexp.to_float t in
-      let* change = Reconfig.change_of_sexp c in
-      Ok (SE_reconf { Reconfig.time; change })
   | _ -> Error "malformed pending event"
+
+let s_cursor_of_sexp = function
+  | Sexp.List [ next; length; digest ] ->
+      let* sc_next = Sexp.to_int next in
+      let* sc_length = Sexp.to_int length in
+      let* sc_digest = Sexp.to_int digest in
+      Ok { sc_next; sc_length; sc_digest }
+  | _ -> Error "malformed schedule cursor"
+
+let s_state_of_sexp = function
+  | Sexp.List [ id; attempts; backoff; waiting ] ->
+      let* ss_id = Sexp.to_int id in
+      let* ss_attempts = Sexp.to_int attempts in
+      let* ss_backoff = Sexp.to_float backoff in
+      let* ss_waiting = sx_to_bool waiting in
+      Ok { ss_id; ss_attempts; ss_backoff; ss_waiting }
+  | _ -> Error "malformed request-state entry"
+
+let s_active_of_sexp = function
+  | Sexp.List [ lid; id; started; finish; recoveries; tier; paths ] ->
+      let* sa_lid = Sexp.to_int lid in
+      let* sa_id = Sexp.to_int id in
+      let* sa_started = Sexp.to_float started in
+      let* sa_finish = Sexp.to_float finish in
+      let* sa_recoveries = Sexp.to_int recoveries in
+      let* sa_tier = Sexp.to_int tier in
+      let* sa_paths = sx_to_paths paths in
+      Ok
+        { sa_lid; sa_id; sa_paths; sa_started; sa_finish; sa_recoveries;
+          sa_tier }
+  | _ -> Error "malformed active-lease entry"
 
 let s_resolution_of_sexp = function
   | Sexp.List
@@ -709,6 +709,12 @@ let snapshot_of_sexp doc =
       let* s_next_ckpt = sx_float_field fields "next-ckpt" in
       let* s_next_seq = sx_int_field fields "next-seq" in
       let* s_next_lease = sx_int_field fields "next-lease" in
+      let* a = sx_field1 fields "arrivals" in
+      let* s_arrivals = s_cursor_of_sexp a in
+      let* f = sx_field1 fields "faults" in
+      let* s_faults = s_cursor_of_sexp f in
+      let* r = sx_field1 fields "reconfig" in
+      let* s_reconfig = s_cursor_of_sexp r in
       let* events = sx_assoc fields "events" in
       let* s_events =
         map_result
@@ -722,40 +728,11 @@ let snapshot_of_sexp doc =
           events
       in
       let* states = sx_assoc fields "states" in
-      let* s_states =
-        map_result
-          (function
-            | Sexp.List [ id; attempts; backoff; waiting; resolved ] ->
-                let* ss_id = Sexp.to_int id in
-                let* ss_attempts = Sexp.to_int attempts in
-                let* ss_backoff = Sexp.to_float backoff in
-                let* ss_waiting = sx_to_bool waiting in
-                let* ss_resolved = sx_to_bool resolved in
-                Ok { ss_id; ss_attempts; ss_backoff; ss_waiting; ss_resolved }
-            | _ -> Error "malformed request-state entry")
-          states
-      in
+      let* s_states = map_result s_state_of_sexp states in
       let* queue = sx_assoc fields "queue" in
       let* s_queue = sx_int_list queue in
       let* active = sx_assoc fields "active" in
-      let* s_active =
-        map_result
-          (function
-            | Sexp.List
-                [ lid; id; started; finish; recoveries; tier; paths ] ->
-                let* sa_lid = Sexp.to_int lid in
-                let* sa_id = Sexp.to_int id in
-                let* sa_started = Sexp.to_float started in
-                let* sa_finish = Sexp.to_float finish in
-                let* sa_recoveries = Sexp.to_int recoveries in
-                let* sa_tier = Sexp.to_int tier in
-                let* sa_paths = sx_to_paths paths in
-                Ok
-                  { sa_lid; sa_id; sa_paths; sa_started; sa_finish;
-                    sa_recoveries; sa_tier }
-            | _ -> Error "malformed active-lease entry")
-          active
-      in
+      let* s_active = map_result s_active_of_sexp active in
       let* outcomes = sx_assoc fields "outcomes" in
       let* s_outcomes =
         map_result
@@ -831,7 +808,8 @@ let snapshot_of_sexp doc =
       in
       Ok
         {
-          s_at; s_next_ckpt; s_events; s_next_seq; s_states; s_queue;
+          s_at; s_next_ckpt; s_arrivals; s_faults; s_reconfig; s_events;
+          s_next_seq; s_states; s_queue;
           s_active; s_outcomes; s_next_lease; s_quota; s_residual;
           s_shed_total; s_gate_rejected; s_budget_exhaustions; s_peak_qubits;
           s_peak_queue; s_retries; s_util_integral; s_last_time; s_makespan;
@@ -917,6 +895,10 @@ let validate_schedule g schedule =
             invalid_arg "Engine.run: fault event on unknown vertex")
     schedule
 
+let element_parts = function
+  | Fsched.Link e -> (true, e)
+  | Fsched.Switch v -> (false, v)
+
 let run ?config:(cfg = config Policy.prim) ?faults ?fault_schedule ?on_incident
     ?on_health ?on_transition ?pool ?(slot = 0.) ?checkpoint ?(reconfig = [])
     ?restore_from g params ~requests =
@@ -966,7 +948,80 @@ let run ?config:(cfg = config Policy.prim) ?faults ?fault_schedule ?on_incident
     | None -> Routing.no_exclusion
     | Some h -> Fhealth.exclusion h
   in
-  let events : event Event_queue.t = Event_queue.create () in
+  (* The pre-scheduled sequences, read through cursors rather than
+     pushed: arrivals in workload order (request i has seq i), then the
+     sorted fault schedule, then reconfig events stably sorted by time —
+     so at a shared instant the tie-break order is arrival < fault <
+     admin change (operators act on the state faults produced).  The
+     heap holds only what the run itself pushes: retries and expiries. *)
+  let arrivals = Array.of_list requests in
+  let fault_events =
+    Array.of_list
+      (match fault_schedule with
+      | Some s -> List.sort Fsched.compare_event s
+      | None -> (
+          match faults with
+          | None -> []
+          | Some model ->
+              Fsched.generate model g ~horizon:(fault_horizon requests)))
+  in
+  let reconf_events =
+    Array.of_list
+      (List.stable_sort
+         (fun (a : Reconfig.event) b -> compare a.Reconfig.time b.Reconfig.time)
+         reconfig)
+  in
+  let events : event Event_queue.t =
+    Event_queue.create
+      ~sources:
+        [|
+          Event_queue.source arrivals
+            ~time:(fun (r : Workload.request) -> r.Workload.arrival)
+            ~wrap:(fun r -> Arrival r);
+          Event_queue.source fault_events
+            ~time:(fun (fe : Fsched.event) -> fe.Fsched.time)
+            ~wrap:(fun fe -> Fault fe);
+          Event_queue.source reconf_events
+            ~time:(fun (re : Reconfig.event) -> re.Reconfig.time)
+            ~wrap:(fun re -> Reconf re);
+        |]
+      ()
+  in
+  (* (length, digest) of each scheduled sequence in seq order — what a
+     snapshot records so a restore can prove it rebuilt the very
+     sequences the snapshot's cursors index. *)
+  let schedule_sigs =
+    lazy
+      (let mix h x = (h lxor x) * 0x100000001b3 in
+       let mix_float h t =
+         let b = Int64.bits_of_float t in
+         mix
+           (mix h (Int64.to_int b))
+           (Int64.to_int (Int64.shift_right_logical b 32))
+       in
+       let sig_of items step =
+         (Array.length items, Array.fold_left step (Array.length items) items)
+       in
+       [|
+         sig_of arrivals (fun h (r : Workload.request) ->
+             mix (mix_float h r.Workload.arrival) r.Workload.id);
+         sig_of fault_events (fun h (fe : Fsched.event) ->
+             let link, el = element_parts fe.Fsched.element in
+             mix
+               (mix (mix (mix_float h fe.Fsched.time) (Bool.to_int link)) el)
+               (Bool.to_int fe.Fsched.up));
+         sig_of reconf_events (fun h (re : Reconfig.event) ->
+             let h = mix_float h re.Reconfig.time in
+             match re.Reconfig.change with
+             | Reconfig.Switch_leave v -> mix (mix h 0) v
+             | Reconfig.Switch_join v -> mix (mix h 1) v
+             | Reconfig.Link_remove e -> mix (mix h 2) e
+             | Reconfig.Link_add e -> mix (mix h 3) e
+             | Reconfig.Provision { switch; qubits } ->
+                 mix (mix (mix h 4) switch) qubits);
+       |])
+  in
+  (* Requests still in play: a request leaves once it is settled. *)
   let states : (int, req_state) Hashtbl.t = Hashtbl.create 64 in
   let active : (int, active) Hashtbl.t = Hashtbl.create 64 in
   let limiter = Admission_ctl.limiter cfg.overload in
@@ -1002,13 +1057,9 @@ let run ?config:(cfg = config Policy.prim) ?faults ?fault_schedule ?on_incident
   let emit tr =
     match on_transition with None -> () | Some f -> f tr
   in
-  let element_parts = function
-    | Fsched.Link e -> (true, e)
-    | Fsched.Switch v -> (false, v)
-  in
   let resolve st resolution =
-    st.resolved <- true;
     st.waiting <- false;
+    Hashtbl.remove states st.req.Workload.id;
     decr unresolved;
     outcomes := { request = st.req; resolution } :: !outcomes
   in
@@ -1157,7 +1208,6 @@ let run ?config:(cfg = config Policy.prim) ?faults ?fault_schedule ?on_incident
         attempts = 0;
         backoff = cfg.retry_base;
         waiting = false;
-        resolved = false;
       }
     in
     Hashtbl.replace states r.Workload.id st;
@@ -1203,20 +1253,22 @@ let run ?config:(cfg = config Policy.prim) ?faults ?fault_schedule ?on_incident
           end
   in
   let on_retry ?spec t id =
-    let st = Hashtbl.find states id in
-    if st.waiting then
-      if t >= st.req.Workload.deadline then
-        (* Patience ran out while queued: settle as expired without a
-           futile final routing attempt (the serve window is
-           [arrival, deadline) once waiting). *)
-        expire t st
-      else begin
-        incr retries;
-        Tm.Counter.incr c_retries;
-        if try_serve ?spec t st then
-          queue := List.filter (fun i -> i <> id) !queue
-        else schedule_retry t st
-      end
+    match Hashtbl.find_opt states id with
+    | None -> () (* settled since it was scheduled; stale retry *)
+    | Some st ->
+        if st.waiting then
+          if t >= st.req.Workload.deadline then
+            (* Patience ran out while queued: settle as expired without
+               a futile final routing attempt (the serve window is
+               [arrival, deadline) once waiting). *)
+            expire t st
+          else begin
+            incr retries;
+            Tm.Counter.incr c_retries;
+            if try_serve ?spec t st then
+              queue := List.filter (fun i -> i <> id) !queue
+            else schedule_retry t st
+          end
   in
   (* Work conservation: whenever capacity or connectivity improves
      (lease expiry, fault abort, element repair), offer it to the
@@ -1536,11 +1588,8 @@ let run ?config:(cfg = config Policy.prim) ?faults ?fault_schedule ?on_incident
       Ent_tree.of_channels channels
     in
     let des_event = function
-      | SE_arrival id -> Arrival (req_of id)
       | SE_retry id -> Retry id
       | SE_expiry lid -> Expiry lid
-      | SE_fault fe -> Fault fe
-      | SE_reconf re -> Reconf re
     in
     let des_resolution = function
       | SR_served r ->
@@ -1581,7 +1630,6 @@ let run ?config:(cfg = config Policy.prim) ?faults ?fault_schedule ?on_incident
             attempts = ss.ss_attempts;
             backoff = ss.ss_backoff;
             waiting = ss.ss_waiting;
-            resolved = ss.ss_resolved;
           })
       snap.s_states;
     List.iter
@@ -1679,6 +1727,34 @@ let run ?config:(cfg = config Policy.prim) ?faults ?fault_schedule ?on_incident
         fail
           "this run tracks element health but the snapshot has none (flags \
            differ)");
+    let sigs = Lazy.force schedule_sigs in
+    let check_schedule i what hint (c : s_cursor) =
+      let len, digest = sigs.(i) in
+      if c.sc_length <> len || c.sc_digest <> digest then
+        fail
+          (Printf.sprintf
+             "the %s differs from the snapshot's (%d events here, %d in the \
+              snapshot%s): %s"
+             what len c.sc_length
+             (if len = c.sc_length then ", same length, different contents"
+              else "")
+             hint);
+      if c.sc_next < 0 || c.sc_next > len then
+        fail (Printf.sprintf "the snapshot's %s cursor is out of range" what)
+    in
+    check_schedule 0 "arrival sequence"
+      "restore must replay the original workload seed and flags"
+      snap.s_arrivals;
+    check_schedule 1 "fault schedule"
+      "restore needs the same fault model and seed (or fault schedule)"
+      snap.s_faults;
+    check_schedule 2 "reconfiguration list"
+      "restore needs the same reconfiguration events" snap.s_reconfig;
+    if snap.s_arrivals.sc_next <> List.length !outcomes + Hashtbl.length states
+    then
+      fail
+        "the snapshot's settled and unsettled requests do not add up to the \
+         arrivals it has read (corrupt snapshot)";
     (match (snap.s_tier, cfg.tier_stats) with
     | Some st, Some (stats : Policy.tier_stats) ->
         let n = Array.length stats.Policy.names in
@@ -1723,40 +1799,13 @@ let run ?config:(cfg = config Policy.prim) ?faults ?fault_schedule ?on_incident
     | _ -> ());
     try
       Event_queue.load events ~next_seq:snap.s_next_seq
+        ~cursor:
+          [| snap.s_arrivals.sc_next; snap.s_faults.sc_next;
+             snap.s_reconfig.sc_next |]
         (List.map (fun (t, seq, se) -> (t, seq, des_event se)) snap.s_events)
     with Invalid_argument m -> fail m
   in
-  (* Populate the queue (fresh run) or rebuild the full engine state
-     from a checkpoint (restore). *)
-  (match restore_from with
-  | Some snap -> restore_state snap
-  | None ->
-      List.iter
-        (fun (r : Workload.request) ->
-          Event_queue.push events r.Workload.arrival (Arrival r))
-        requests;
-      let schedule =
-        match fault_schedule with
-        | Some s -> List.sort Fsched.compare_event s
-        | None -> (
-            match faults with
-            | None -> []
-            | Some model ->
-                Fsched.generate model g ~horizon:(fault_horizon requests))
-      in
-      List.iter
-        (fun (fe : Fsched.event) -> Event_queue.push events fe.time (Fault fe))
-        schedule;
-      (* Reconfig events are pushed after arrivals and faults, so at a
-         shared instant the tie-break order is arrival < fault < admin
-         change — operators act on the state faults produced. *)
-      List.iter
-        (fun (re : Reconfig.event) ->
-          Event_queue.push events re.Reconfig.time (Reconf re))
-        (List.stable_sort
-           (fun (a : Reconfig.event) b ->
-             compare a.Reconfig.time b.Reconfig.time)
-           reconfig));
+  Option.iter restore_state restore_from;
   (* An event that can no longer change any outcome must not stretch the
      makespan or the utilization window. *)
   let inert = function
@@ -1805,11 +1854,17 @@ let run ?config:(cfg = config Policy.prim) ?faults ?fault_schedule ?on_incident
       List.map (fun (c : Channel.t) -> c.Channel.path) tree.Ent_tree.channels
     in
     let ser_event = function
-      | Arrival r -> SE_arrival r.Workload.id
       | Retry id -> SE_retry id
       | Expiry lid -> SE_expiry lid
-      | Fault fe -> SE_fault fe
-      | Reconf re -> SE_reconf re
+      | Arrival _ | Fault _ | Reconf _ ->
+          (* scheduled events are read from the cursors, never pushed *)
+          assert false
+    in
+    let cursor = Event_queue.cursor events in
+    let sigs = Lazy.force schedule_sigs in
+    let sched i =
+      let len, digest = sigs.(i) in
+      { sc_next = cursor.(i); sc_length = len; sc_digest = digest }
     in
     let ser_resolution = function
       | Served { start; finish; tree; rate; attempts; recoveries; tier } ->
@@ -1840,6 +1895,9 @@ let run ?config:(cfg = config Policy.prim) ?faults ?fault_schedule ?on_incident
     {
       s_at = at;
       s_next_ckpt = !next_ckpt;
+      s_arrivals = sched 0;
+      s_faults = sched 1;
+      s_reconfig = sched 2;
       s_events =
         List.map
           (fun (t, seq, ev) -> (t, seq, ser_event ev))
@@ -1853,7 +1911,6 @@ let run ?config:(cfg = config Policy.prim) ?faults ?fault_schedule ?on_incident
               ss_attempts = st.attempts;
               ss_backoff = st.backoff;
               ss_waiting = st.waiting;
-              ss_resolved = st.resolved;
             }
             :: acc)
           states []

@@ -2,8 +2,9 @@
     shared quantum network.
 
     A deterministic discrete-event simulation.  Four event kinds drive
-    it, ordered by a binary-heap {!Event_queue} (FIFO among equal
-    timestamps):
+    it, ordered by an {!Event_queue} (FIFO among equal timestamps) that
+    reads arrivals, faults and reconfigurations from the run's inputs
+    through cursors and keeps only retries and expiries in its heap:
 
     - {e arrival} — a {!Workload.request} appears and is routed by the
       configured {!Policy} against the live residual capacity;
@@ -227,11 +228,13 @@ type report = {
 (** {1 Checkpoint snapshots}
 
     A {!snapshot} is a pure-data image of the complete engine state at
-    an event-loop boundary: pending events with their FIFO seqs, every
-    request's progress, active leases as channel vertex-paths, settled
-    outcomes, capacity quota/residual deltas, and the mutable state of
-    the limiter, element health, tiered-policy breakers, policy-owned
-    caches ({!Policy.state_hooks}) and telemetry registry.  Restoring
+    an event-loop boundary: a cursor into each pre-scheduled sequence
+    (arrivals, faults, reconfigurations), the retries and expiries still
+    pending with their FIFO seqs, the progress of every unsettled
+    request, active leases as channel vertex-paths, settled outcomes,
+    capacity quota/residual deltas, and the mutable state of the
+    limiter, element health, tiered-policy breakers, policy-owned caches
+    ({!Policy.state_hooks}) and telemetry registry.  Restoring
     it into {!run} (with the {e same} graph, params, workload, and
     flags) continues the run to a report byte-identical to the
     uninterrupted one, at every [--jobs] level and [slot] window.
@@ -243,21 +246,31 @@ type report = {
     rejected at restore time, not silently trusted.
 
     Snapshots serialise to a versioned s-expression
-    ([muerp-engine-snapshot/2]); {!snapshot_of_sexp} is a pure parse —
+    ([muerp-engine-snapshot/3]); {!snapshot_of_sexp} is a pure parse —
     graph/workload consistency is validated inside {!run} at restore
     time, which raises [Invalid_argument] with a reason naming the
     mismatch (wrong workload, wrong network, different flags, corrupt
     capacity accounting). *)
 
-(** A pending event, with request/lease bodies referenced by id (a
-    restore replays the original workload, so ids resolve against the
-    [~requests] the caller passes back in). *)
-type s_event =
-  | SE_arrival of int
-  | SE_retry of int
-  | SE_expiry of int
-  | SE_fault of Qnet_faults.Schedule.event
-  | SE_reconf of Reconfig.event
+(** A pending event pushed during the run, with the request or lease
+    referenced by id (a restore replays the original workload, so ids
+    resolve against the [~requests] the caller passes back in).
+    Arrivals, faults and reconfigurations are never pushed: they are
+    read from the run's inputs through cursors (see {!s_cursor}). *)
+type s_event = SE_retry of int | SE_expiry of int
+
+(** How far the run has read one pre-scheduled sequence (the arrivals
+    in workload order, the sorted fault schedule, or the time-sorted
+    reconfiguration list), with the sequence's length and a digest of
+    its times and contents (arrival ids, fault elements and directions,
+    reconfiguration changes).  A restore rebuilds the sequence from its
+    own inputs and refuses it, naming the sequence, when the length or
+    digest differs. *)
+type s_cursor = {
+  sc_next : int;  (** Items already popped. *)
+  sc_length : int;
+  sc_digest : int;
+}
 
 (** A settled outcome, trees flattened to channel vertex-paths. *)
 type s_resolution =
@@ -285,8 +298,9 @@ type s_state = {
   ss_attempts : int;
   ss_backoff : float;
   ss_waiting : bool;
-  ss_resolved : bool;
 }
+(** Progress of a request that has arrived but is not settled yet;
+    settled requests appear only among the outcomes. *)
 
 type s_active = {
   sa_lid : int;
@@ -310,7 +324,12 @@ type s_tier = {
 type snapshot = {
   s_at : float;
   s_next_ckpt : float;
+  s_arrivals : s_cursor;
+  s_faults : s_cursor;
+  s_reconfig : s_cursor;
   s_events : (float * int * s_event) list;
+      (** Pushed events still pending (retries and expiries), in
+          (time, seq) order. *)
   s_next_seq : int;
   s_states : s_state list;
   s_queue : int list;
@@ -350,7 +369,7 @@ val snapshot_at : snapshot -> float
 (** The simulation instant the snapshot was cut at. *)
 
 val snapshot_version : string
-(** The serialisation tag, [muerp-engine-snapshot/2]. *)
+(** The serialisation tag, [muerp-engine-snapshot/3]. *)
 
 val snapshot_to_sexp : snapshot -> Qnet_util.Sexp.t
 
@@ -366,6 +385,12 @@ val snapshot_of_sexp : Qnet_util.Sexp.t -> (snapshot, string) result
 
 val s_event_to_sexp : s_event -> Qnet_util.Sexp.t
 val s_event_of_sexp : Qnet_util.Sexp.t -> (s_event, string) result
+val s_cursor_to_sexp : s_cursor -> Qnet_util.Sexp.t
+val s_cursor_of_sexp : Qnet_util.Sexp.t -> (s_cursor, string) result
+val s_state_to_sexp : s_state -> Qnet_util.Sexp.t
+val s_state_of_sexp : Qnet_util.Sexp.t -> (s_state, string) result
+val s_active_to_sexp : s_active -> Qnet_util.Sexp.t
+val s_active_of_sexp : Qnet_util.Sexp.t -> (s_active, string) result
 val s_resolution_to_sexp : s_resolution -> Qnet_util.Sexp.t
 val s_resolution_of_sexp : Qnet_util.Sexp.t -> (s_resolution, string) result
 
@@ -469,7 +494,10 @@ val run :
     reflects exactly the events before it.  Instants after the last
     event never fire (the run is already complete).  [restore_from]
     resumes a run from a snapshot instead of a fresh start: pass the
-    {e same} graph, params, [~requests] and flags as the original run;
+    {e same} graph, params, [~requests] and flags as the original run
+    — the arrivals, fault schedule and reconfiguration list are rebuilt
+    from them, and a sequence whose length or digest differs from the
+    snapshot's is refused with a message naming it;
     the continuation's report, outcomes and [online.*] counters are
     byte-identical to the uninterrupted run's.  A restored run with
     [checkpoint] resumes the original cadence.  Both require a policy

@@ -6,12 +6,35 @@
     scheduled for the same instant fire in the order they were pushed.
     That FIFO guarantee is what makes an engine run a pure function of
     its inputs, which the reproducibility contract of [muerp traffic]
-    (same seed ⇒ same SLA summary) depends on. *)
+    (same seed ⇒ same SLA summary) depends on.
+
+    Events known before the run starts (arrivals, a fault schedule, a
+    reconfiguration list) need not be pushed: a queue can be created
+    over read-only {!source}s, which it merges with the heap.  Source
+    [i]'s item at index [k] carries seq [b_i + k], where [b_i] is the
+    total length of the sources before it, and the first {!push} gets
+    the seq after every source item — exactly the seqs pushing all
+    sources' items up front, in order, would have assigned.  So the
+    merged queue pops, peeks and drains the same [(time, seq, payload)]
+    sequence as that push-everything queue, while the heap (and a
+    checkpoint of it) holds only events pushed during the run. *)
+
+type 'a source
+(** A read-only sequence of pre-scheduled events. *)
+
+val source : time:('b -> float) -> wrap:('b -> 'a) -> 'b array -> 'a source
+(** [source ~time ~wrap items] schedules [wrap items.(k)] at
+    [time items.(k)] for every [k]; among equal times the lower index
+    fires first.  The array is indexed, not copied (do not mutate it);
+    when the items are not already in time order a permutation of
+    their indices is built once.  @raise Invalid_argument on a NaN
+    time. *)
 
 type 'a t
 
-val create : ?capacity:int -> unit -> 'a t
-(** Fresh empty queue.  [capacity] pre-sizes the backing array. *)
+val create : ?capacity:int -> ?sources:'a source array -> unit -> 'a t
+(** Fresh queue holding the [sources]' items (none by default) and an
+    empty heap.  [capacity] pre-sizes the heap's backing array. *)
 
 val length : 'a t -> int
 val is_empty : 'a t -> bool
@@ -45,22 +68,35 @@ val pop_batch : 'a t -> (float * int * 'a) list
     timestamp as the bound. *)
 
 val clear : 'a t -> unit
+(** Drop every pending event, pushed or scheduled. *)
 
 val entries : 'a t -> (float * int * 'a) list
-(** Every pending entry as [(time, seq, payload)] in (time, seq) pop
-    order, without disturbing the queue — the canonical dump a
-    checkpoint serialises. *)
+(** Every pending {e pushed} entry as [(time, seq, payload)] in
+    (time, seq) pop order, without disturbing the queue — the canonical
+    dump a checkpoint serialises.  Scheduled items are not listed:
+    {!cursor} says how far each source has been consumed. *)
 
 val next_seq : 'a t -> int
 (** The insertion counter the next {!push} will consume.  Serialised
     alongside {!entries} so a restored queue hands out the same seqs. *)
 
-val load : 'a t -> next_seq:int -> (float * int * 'a) list -> unit
-(** Replace the queue's contents with a dump, in place: pops the same
-    [(time, seq)] sequence and resumes the insertion counter at
-    [next_seq], so pushes after restore tie-break identically to the
-    uninterrupted run.  @raise Invalid_argument on NaN timestamps, a
-    negative [next_seq], or a seq ≥ [next_seq]. *)
+val cursor : 'a t -> int array
+(** Per source, in creation order, how many of its items have been
+    popped (a copy). *)
+
+val load :
+  'a t -> next_seq:int -> ?cursor:int array -> (float * int * 'a) list -> unit
+(** Replace the queue's contents with a dump, in place: the sources
+    resume at [cursor] (default [[||]], for a queue without sources),
+    the heap holds exactly the dumped entries, and the insertion
+    counter resumes at [next_seq] — so the queue pops the same
+    [(time, seq)] sequence, and pushes after restore tie-break
+    identically, as in the uninterrupted run.  @raise Invalid_argument
+    on NaN timestamps, a [cursor] whose length differs from the number
+    of sources or with a position outside [\[0, length\]], a
+    [next_seq] below the first pushed seq, or an entry seq that is a
+    source's or ≥ [next_seq]. *)
 
 val of_entries : next_seq:int -> (float * int * 'a) list -> 'a t
-(** Fresh queue holding a dump: {!create} followed by {!load}. *)
+(** Fresh queue without sources holding a dump: {!create} followed by
+    {!load}. *)

@@ -5,7 +5,7 @@ module Engine = Qnet_online.Engine
 
      muerp-checkpoint/1
      (config "<fingerprint>")
-     (muerp-engine-snapshot/2 ...)
+     (muerp-engine-snapshot/3 ...)
      integrity <md5-hex> <byte-length>
 
    The integrity footer covers every byte before it, so a torn or

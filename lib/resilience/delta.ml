@@ -6,12 +6,13 @@ module Wire = Qnet_telemetry.Wire
 (* Incremental checkpoint payloads: the field-by-field difference
    between two consecutive engine snapshots.
 
-   Between 10-second cuts most of a snapshot is unchanged — the event
-   queue churns a handful of entries, a few leases start or end, the
-   metrics registry moves a few counters — while the bulky sections
-   (settled outcomes, per-request states, histogram buckets) only grow
-   or stay put.  The delta keys each collection section by its natural
-   identity and records removals + upserts; the ~20 scalar counters are
+   Between 10-second cuts most of a snapshot is unchanged — the pending
+   retries and expiries churn a handful of entries, a few requests
+   arrive or settle, a few leases start or end, the metrics registry
+   moves a few counters — while the bulky sections (settled outcomes,
+   histogram buckets) only grow or stay put.  The delta keys each
+   collection section by its natural identity and records removals +
+   upserts; the ~20 scalar counters and the three schedule cursors are
    carried raw every time (they cost a line, not a section); and the
    metrics registry ships as a compact hex-armoured binary diff
    (Qnet_telemetry.Wire) because its sexp rendering dominates the file.
@@ -39,11 +40,15 @@ type t = {
   d_next_ckpt : float;
   d_next_seq : int;
   d_next_lease : int;
+  d_arrivals : Engine.s_cursor;
+  d_faults : Engine.s_cursor;
+  d_reconfig : Engine.s_cursor;
   d_scalars : float array;
       (* every scalar counter, raw, in the fixed order of [scalar_order] *)
   d_events_removed : (float * int) list;  (* (time, seq) keys *)
   d_events_added : (float * int * Engine.s_event) list;
-  d_states : Engine.s_state list;  (* upserts by ss_id; never removed *)
+  d_states_removed : int list;  (* request ids settled since the base *)
+  d_states : Engine.s_state list;  (* upserts by ss_id *)
   d_queue : int list refresh;  (* order matters: whole when changed *)
   d_active_removed : int list;  (* lease ids *)
   d_active : Engine.s_active list;  (* upserts by sa_lid *)
@@ -60,7 +65,7 @@ type t = {
   d_metrics : metrics_delta;
 }
 
-let version = "muerp-snapshot-delta/1"
+let version = "muerp-snapshot-delta/2"
 
 (* --- diff ---------------------------------------------------------- *)
 
@@ -113,8 +118,7 @@ let diff ~(base : Engine.snapshot) (next : Engine.snapshot) =
       ~eq:(fun a b -> a = b)
       base.Engine.s_events next.Engine.s_events
   in
-  let _, states =
-    (* states are never removed, only added or advanced *)
+  let states_removed, states =
     diff_sorted
       ~key:(fun ss -> ss.Engine.ss_id)
       ~eq:(fun a b -> a = b)
@@ -173,9 +177,13 @@ let diff ~(base : Engine.snapshot) (next : Engine.snapshot) =
     d_next_ckpt = next.Engine.s_next_ckpt;
     d_next_seq = next.Engine.s_next_seq;
     d_next_lease = next.Engine.s_next_lease;
+    d_arrivals = next.Engine.s_arrivals;
+    d_faults = next.Engine.s_faults;
+    d_reconfig = next.Engine.s_reconfig;
     d_scalars = scalars_of next;
     d_events_removed = events_removed;
     d_events_added = events_added;
+    d_states_removed = states_removed;
     d_states = states;
     d_queue = refresh_of base.Engine.s_queue next.Engine.s_queue;
     d_active_removed = active_removed;
@@ -236,7 +244,8 @@ let apply ~(base : Engine.snapshot) (d : t) =
   let* s_states =
     apply_sorted
       ~key:(fun ss -> ss.Engine.ss_id)
-      ~what:"request-state" [] d.d_states base.Engine.s_states
+      ~what:"request-state" d.d_states_removed d.d_states
+      base.Engine.s_states
   in
   let* s_active =
     apply_sorted
@@ -277,6 +286,9 @@ let apply ~(base : Engine.snapshot) (d : t) =
         s_next_ckpt = d.d_next_ckpt;
         s_next_seq = d.d_next_seq;
         s_next_lease = d.d_next_lease;
+        s_arrivals = d.d_arrivals;
+        s_faults = d.d_faults;
+        s_reconfig = d.d_reconfig;
         s_events;
         s_states;
         s_queue = apply_refresh base.Engine.s_queue d.d_queue;
@@ -329,6 +341,9 @@ let to_sexp (d : t) =
       fld "next-ckpt" [ Sexp.float d.d_next_ckpt ];
       fld "next-seq" [ Sexp.int d.d_next_seq ];
       fld "next-lease" [ Sexp.int d.d_next_lease ];
+      fld "arrivals" [ Engine.s_cursor_to_sexp d.d_arrivals ];
+      fld "faults" [ Engine.s_cursor_to_sexp d.d_faults ];
+      fld "reconfig" [ Engine.s_cursor_to_sexp d.d_reconfig ];
       fld "scalars" (List.map Sexp.float (Array.to_list d.d_scalars));
       fld "events-removed"
         (List.map
@@ -340,37 +355,11 @@ let to_sexp (d : t) =
              Sexp.list
                [ Sexp.float t; Sexp.int seq; Engine.s_event_to_sexp ev ])
            d.d_events_added);
-      fld "states"
-        (List.map
-           (fun ss ->
-             Sexp.list
-               [
-                 Sexp.int ss.Engine.ss_id;
-                 Sexp.int ss.Engine.ss_attempts;
-                 Sexp.float ss.Engine.ss_backoff;
-                 Sexp.atom (if ss.Engine.ss_waiting then "true" else "false");
-                 Sexp.atom (if ss.Engine.ss_resolved then "true" else "false");
-               ])
-           d.d_states);
+      fld "states-removed" (List.map Sexp.int d.d_states_removed);
+      fld "states" (List.map Engine.s_state_to_sexp d.d_states);
       refresh_to_sexp "queue" (List.map Sexp.int) d.d_queue;
       fld "active-removed" (List.map Sexp.int d.d_active_removed);
-      fld "active"
-        (List.map
-           (fun sa ->
-             Sexp.list
-               [
-                 Sexp.int sa.Engine.sa_lid;
-                 Sexp.int sa.Engine.sa_id;
-                 Sexp.float sa.Engine.sa_started;
-                 Sexp.float sa.Engine.sa_finish;
-                 Sexp.int sa.Engine.sa_recoveries;
-                 Sexp.int sa.Engine.sa_tier;
-                 Sexp.list
-                   (List.map
-                      (fun p -> Sexp.list (List.map Sexp.int p))
-                      sa.Engine.sa_paths);
-               ])
-           d.d_active);
+      fld "active" (List.map Engine.s_active_to_sexp d.d_active);
       fld "outcomes-new"
         (List.map
            (fun (id, res) ->
@@ -435,11 +424,6 @@ let sx_field1 fields name =
   | [ x ] -> Ok x
   | _ -> err "delta: field %s expects one value" name
 
-let sx_bool = function
-  | Sexp.Atom "true" -> Ok true
-  | Sexp.Atom "false" -> Ok false
-  | _ -> Error "expected true or false"
-
 let refresh_of_sexp fields name of_elts =
   let* l = sx_assoc fields name in
   match l with
@@ -470,6 +454,12 @@ let of_sexp doc =
       let* scalars = sx_assoc fields "scalars" in
       let* scalars = map_result Sexp.to_float scalars in
       let d_scalars = Array.of_list scalars in
+      let* a = sx_field1 fields "arrivals" in
+      let* d_arrivals = Engine.s_cursor_of_sexp a in
+      let* f = sx_field1 fields "faults" in
+      let* d_faults = Engine.s_cursor_of_sexp f in
+      let* r = sx_field1 fields "reconfig" in
+      let* d_reconfig = Engine.s_cursor_of_sexp r in
       let* er = sx_assoc fields "events-removed" in
       let* d_events_removed =
         map_result
@@ -493,65 +483,15 @@ let of_sexp doc =
             | _ -> Error "malformed added-event entry")
           ea
       in
+      let* sr = sx_assoc fields "states-removed" in
+      let* d_states_removed = map_result Sexp.to_int sr in
       let* states = sx_assoc fields "states" in
-      let* d_states =
-        map_result
-          (function
-            | Sexp.List [ id; attempts; backoff; waiting; resolved ] ->
-                let* ss_id = Sexp.to_int id in
-                let* ss_attempts = Sexp.to_int attempts in
-                let* ss_backoff = Sexp.to_float backoff in
-                let* ss_waiting = sx_bool waiting in
-                let* ss_resolved = sx_bool resolved in
-                Ok
-                  {
-                    Engine.ss_id;
-                    ss_attempts;
-                    ss_backoff;
-                    ss_waiting;
-                    ss_resolved;
-                  }
-            | _ -> Error "malformed request-state entry")
-          states
-      in
+      let* d_states = map_result Engine.s_state_of_sexp states in
       let* d_queue = refresh_of_sexp fields "queue" (map_result Sexp.to_int) in
       let* ar = sx_assoc fields "active-removed" in
       let* d_active_removed = map_result Sexp.to_int ar in
       let* active = sx_assoc fields "active" in
-      let* d_active =
-        map_result
-          (function
-            | Sexp.List [ lid; id; started; finish; recoveries; tier; paths ]
-              ->
-                let* sa_lid = Sexp.to_int lid in
-                let* sa_id = Sexp.to_int id in
-                let* sa_started = Sexp.to_float started in
-                let* sa_finish = Sexp.to_float finish in
-                let* sa_recoveries = Sexp.to_int recoveries in
-                let* sa_tier = Sexp.to_int tier in
-                let* sa_paths =
-                  match paths with
-                  | Sexp.List ps ->
-                      map_result
-                        (function
-                          | Sexp.List vs -> map_result Sexp.to_int vs
-                          | Sexp.Atom _ -> Error "expected a vertex path")
-                        ps
-                  | Sexp.Atom _ -> Error "expected a path list"
-                in
-                Ok
-                  {
-                    Engine.sa_lid;
-                    sa_id;
-                    sa_paths;
-                    sa_started;
-                    sa_finish;
-                    sa_recoveries;
-                    sa_tier;
-                  }
-            | _ -> Error "malformed active-lease entry")
-          active
-      in
+      let* d_active = map_result Engine.s_active_of_sexp active in
       let* outcomes = sx_assoc fields "outcomes-new" in
       let* d_outcomes_new =
         map_result
@@ -616,9 +556,13 @@ let of_sexp doc =
           d_next_ckpt;
           d_next_seq;
           d_next_lease;
+          d_arrivals;
+          d_faults;
+          d_reconfig;
           d_scalars;
           d_events_removed;
           d_events_added;
+          d_states_removed;
           d_states;
           d_queue;
           d_active_removed;

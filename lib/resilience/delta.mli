@@ -3,7 +3,7 @@
 
     A full {!Qnet_online.Engine.snapshot} of a busy run is dominated by
     sections that barely move between 10-second cuts: the settled
-    outcomes only grow, the per-request states only advance, and the
+    outcomes only grow, a few requests arrive or settle, and the
     metrics registry changes a handful of entries.  {!diff} captures
     exactly the movement — removals and upserts keyed by each section's
     natural identity, the fresh outcome prefix, whole-value refreshes
@@ -42,13 +42,17 @@ type t = {
   d_next_ckpt : float;
   d_next_seq : int;
   d_next_lease : int;
+  d_arrivals : Qnet_online.Engine.s_cursor;
+  d_faults : Qnet_online.Engine.s_cursor;
+  d_reconfig : Qnet_online.Engine.s_cursor;
+      (** The three schedule cursors, raw. *)
   d_scalars : float array;
       (** Every scalar counter of the snapshot, raw, in a fixed order —
           cheaper to carry than to diff. *)
   d_events_removed : (float * int) list;  (** (time, seq) keys. *)
   d_events_added : (float * int * Qnet_online.Engine.s_event) list;
-  d_states : Qnet_online.Engine.s_state list;
-      (** Upserts by [ss_id]; request states are never removed. *)
+  d_states_removed : int list;  (** Requests settled since the base. *)
+  d_states : Qnet_online.Engine.s_state list;  (** Upserts by [ss_id]. *)
   d_queue : int list refresh;
   d_active_removed : int list;  (** Lease ids. *)
   d_active : Qnet_online.Engine.s_active list;  (** Upserts by [sa_lid]. *)
@@ -66,7 +70,7 @@ type t = {
 }
 
 val version : string
-(** The delta-document tag, [muerp-snapshot-delta/1]. *)
+(** The delta-document tag, [muerp-snapshot-delta/2]. *)
 
 val diff :
   base:Qnet_online.Engine.snapshot -> Qnet_online.Engine.snapshot -> t

@@ -32,3 +32,11 @@ val generate_classic :
     Provided for fidelity to Waxman's 1988 model; the paper's
     fixed-degree evaluation uses {!generate}.
     @raise Invalid_argument when [beta] is outside (0, 1]. *)
+
+val top_pairs : m:int -> float array -> int array
+(** The selection step of {!generate}, exposed for testing: the indices
+    of the [m] largest keys (all of them when fewer), largest first,
+    and on equal keys the higher index first — the order a stable
+    descending sort lists them in when the keys were consed onto a
+    list one by one.  Keeps only the best [m] in a bounded heap, so
+    memory is O(m) in the number of keys offered. *)

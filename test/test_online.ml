@@ -164,6 +164,107 @@ let test_batch_drain_matches_pop_qcheck () =
   in
   QCheck.Test.check_exn test
 
+(* Scheduled sources merged with the heap must behave exactly like the
+   push-everything queue they replace: every scheduled item pushed up
+   front, in source order, before anything else.  Times sit on a coarse
+   grid so ties between sources, and with run-time pushes, are common;
+   a reload mid-stream goes through [entries] + [cursor] on the merged
+   queue and through [entries] alone on the reference. *)
+let test_cursor_merge_matches_push_all_qcheck () =
+  let prop seed =
+    let rng = Prng.create seed in
+    let stamp () = float_of_int (Prng.int rng 8) /. 2. in
+    let items tag k =
+      Array.init k (fun i -> (stamp (), Printf.sprintf "%s%d" tag i))
+    in
+    let sorted tag k =
+      let a = items tag k in
+      Array.stable_sort (fun (t1, _) (t2, _) -> compare t1 t2) a;
+      a
+    in
+    (* arrivals in workload order (not time-sorted); faults and
+       reconfigurations sorted, as the engine hands them over *)
+    let scheduled =
+      [| items "a" (Prng.int rng 30); sorted "f" (Prng.int rng 12);
+         sorted "r" (Prng.int rng 6) |]
+    in
+    let sources () =
+      Array.map (Event_queue.source ~time:fst ~wrap:snd) scheduled
+    in
+    let reference = ref (Event_queue.create ()) in
+    Array.iter
+      (Array.iter (fun (t, v) -> Event_queue.push !reference t v))
+      scheduled;
+    let merged = ref (Event_queue.create ~sources:(sources ()) ()) in
+    let ok = ref true in
+    let same a b = if a <> b then ok := false in
+    let pushed = ref 0 in
+    for _ = 1 to 100 do
+      (match Prng.int rng 7 with
+      | 0 | 1 ->
+          let t = stamp () and v = Printf.sprintf "p%d" !pushed in
+          incr pushed;
+          Event_queue.push !reference t v;
+          Event_queue.push !merged t v
+      | 2 -> same (Event_queue.pop !reference) (Event_queue.pop !merged)
+      | 3 ->
+          same (Event_queue.pop_batch !reference)
+            (Event_queue.pop_batch !merged)
+      | 4 ->
+          let upto = stamp () in
+          same
+            (Event_queue.drain_until !reference ~upto)
+            (Event_queue.drain_until !merged ~upto)
+      | 5 ->
+          let r = !reference and m = !merged in
+          reference :=
+            Event_queue.of_entries ~next_seq:(Event_queue.next_seq r)
+              (Event_queue.entries r);
+          merged := Event_queue.create ~sources:(sources ()) ();
+          Event_queue.load !merged ~next_seq:(Event_queue.next_seq m)
+            ~cursor:(Event_queue.cursor m) (Event_queue.entries m)
+      | _ -> ());
+      same (Event_queue.peek_key !reference) (Event_queue.peek_key !merged);
+      same (Event_queue.length !reference) (Event_queue.length !merged);
+      same (Event_queue.next_seq !reference) (Event_queue.next_seq !merged)
+    done;
+    same
+      (Event_queue.drain_until !reference ~upto:infinity)
+      (Event_queue.drain_until !merged ~upto:infinity);
+    !ok && Event_queue.is_empty !merged
+  in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:300 ~name:"cursor merge equals push-all"
+       QCheck.(int_range 1 100_000)
+       prop)
+
+let test_cursor_load_validation () =
+  let sources () =
+    [| Event_queue.source ~time:Fun.id ~wrap:string_of_float [| 1.; 2. |] |]
+  in
+  let q = Event_queue.create ~sources:(sources ()) () in
+  check_int "first push seq follows the scheduled items" 2
+    (Event_queue.next_seq q);
+  let raises what f =
+    check_bool what true
+      (match f () with () -> false | exception Invalid_argument _ -> true)
+  in
+  raises "cursor of the wrong arity" (fun () ->
+      Event_queue.load q ~next_seq:2 []);
+  raises "cursor past the end" (fun () ->
+      Event_queue.load q ~next_seq:2 ~cursor:[| 3 |] []);
+  raises "entry claiming a scheduled seq" (fun () ->
+      Event_queue.load q ~next_seq:3 ~cursor:[| 0 |] [ (0.5, 1, "x") ]);
+  raises "next_seq inside the scheduled range" (fun () ->
+      Event_queue.load q ~next_seq:1 ~cursor:[| 0 |] []);
+  raises "NaN source time" (fun () ->
+      ignore (Event_queue.source ~time:Fun.id ~wrap:Fun.id [| Float.nan |]));
+  Event_queue.load q ~next_seq:4 ~cursor:[| 1 |] [ (2., 3, "late") ];
+  Alcotest.(check (list (triple (float 0.) int string)))
+    "resumes at the cursor, scheduled first on a tie"
+    [ (2., 1, "2."); (2., 3, "late") ]
+    (Event_queue.drain_until q ~upto:infinity)
+
 (* ------------------------------------------------------------------ *)
 (* Workload                                                            *)
 
@@ -361,6 +462,112 @@ let test_engine_validation () =
    at t = 2 — the very instant the loser's clamped final retry fires —
    so capacity IS available then; serving it anyway would breach the
    deadline contract. *)
+(* A checkpoint holds only live work.  On a run with faults and
+   overload control, at every cut: the states are exactly the requests
+   the arrival cursor has read and no outcome has settled; every active
+   lease has exactly one pending expiry (at its finish) and every
+   waiting request exactly one pending retry; no lease or request has
+   two.  The only other entries are stale leftovers the run tolerates —
+   an expiry of a lease a fault aborted, a retry of a request that
+   settled first — and each still fires within its lease or patience
+   window. *)
+let test_cut_holds_only_live_work () =
+  let g = network ~switches:30 ~qubits:3 21 in
+  let reqs =
+    Workload.generate (Prng.create 22) g
+      (Workload.spec ~requests:300 ~arrivals:(Workload.Poisson 1.5) ())
+  in
+  let faults =
+    Qnet_faults.Model.make ~mtbf:25. ~mttr:5. ~targets:Qnet_faults.Model.Both
+      ~seed:23 ()
+  in
+  let overload = Qnet_overload.Admission.make ~max_queue:6 ~rate:1.2 () in
+  let config = Engine.config ~overload ~recovery:Engine.Abort Policy.prim in
+  let by_id = Hashtbl.create 64 in
+  List.iter
+    (fun (r : Workload.request) -> Hashtbl.replace by_id r.Workload.id r)
+    reqs;
+  let max_duration =
+    List.fold_left
+      (fun m (r : Workload.request) -> Float.max m r.Workload.duration)
+      0. reqs
+  in
+  let cuts = ref 0 and stale = ref 0 and live_peak = ref 0 in
+  let check_cut at (s : Engine.snapshot) =
+    incr cuts;
+    let arrived =
+      List.filteri (fun i _ -> i < s.Engine.s_arrivals.Engine.sc_next) reqs
+      |> List.map (fun (r : Workload.request) -> r.Workload.id)
+    in
+    let settled = List.map fst s.Engine.s_outcomes in
+    let state_ids = List.map (fun ss -> ss.Engine.ss_id) s.Engine.s_states in
+    Alcotest.(check (list int))
+      (Printf.sprintf "t=%g: states = arrived minus settled" at)
+      (List.filter (fun id -> not (List.mem id settled)) arrived)
+      state_ids;
+    let expiries =
+      List.filter_map
+        (function t, _, Engine.SE_expiry lid -> Some (t, lid) | _ -> None)
+        s.Engine.s_events
+    and retries =
+      List.filter_map
+        (function t, _, Engine.SE_retry id -> Some (t, id) | _ -> None)
+        s.Engine.s_events
+    in
+    let distinct l =
+      List.length (List.sort_uniq compare (List.map snd l)) = List.length l
+    in
+    let active_lid lid =
+      List.exists (fun sa -> sa.Engine.sa_lid = lid) s.Engine.s_active
+    in
+    let stale_expiries =
+      List.filter (fun (_, lid) -> not (active_lid lid)) expiries
+    and stale_retries =
+      List.filter (fun (_, id) -> not (List.mem id state_ids)) retries
+    in
+    stale := !stale + List.length stale_expiries + List.length stale_retries;
+    check_bool
+      (Printf.sprintf "t=%g: each lease and request has at most one entry" at)
+      true
+      (distinct expiries && distinct retries);
+    check_bool
+      (Printf.sprintf "t=%g: every active lease has its expiry" at)
+      true
+      (List.for_all
+         (fun (sa : Engine.s_active) ->
+           List.mem (sa.Engine.sa_finish, sa.Engine.sa_lid) expiries)
+         s.Engine.s_active);
+    check_bool
+      (Printf.sprintf "t=%g: every waiting request has its retry" at)
+      true
+      (List.for_all
+         (fun (ss : Engine.s_state) ->
+           (not ss.Engine.ss_waiting)
+           || List.exists (fun (_, id) -> id = ss.Engine.ss_id) retries)
+         s.Engine.s_states);
+    check_bool
+      (Printf.sprintf "t=%g: stale entries fire within their window" at)
+      true
+      (List.for_all (fun (t, _) -> t <= at +. max_duration) stale_expiries
+      && List.for_all
+           (fun (t, id) ->
+             List.mem id settled
+             && t <= (Hashtbl.find by_id id).Workload.deadline)
+           stale_retries);
+    live_peak :=
+      max !live_peak (List.length s.Engine.s_events + List.length state_ids)
+  in
+  let report, _ =
+    Engine.run ~config ~faults ~checkpoint:(2., check_cut) g params
+      ~requests:reqs
+  in
+  check_bool "the run cut many checkpoints" true (!cuts >= 50);
+  check_bool "faults and overload acted" true
+    (report.Engine.leases_aborted > 0 && report.Engine.shed > 0);
+  check_bool "a cut holds far fewer events than the workload" true
+    (!live_peak < List.length reqs / 4);
+  check_bool "stale leftovers occurred and were checked" true (!stale > 0)
+
 let test_retry_at_deadline_expires () =
   let g, (a0, a1), (b0, b1) = hub_network () in
   let reqs =
@@ -812,6 +1019,10 @@ let () =
           Alcotest.test_case "batches" `Quick test_event_queue_batches;
           Alcotest.test_case "batch drain order (qcheck)" `Quick
             test_batch_drain_matches_pop_qcheck;
+          Alcotest.test_case "cursor merge = push-all (qcheck)" `Quick
+            test_cursor_merge_matches_push_all_qcheck;
+          Alcotest.test_case "cursor load validation" `Quick
+            test_cursor_load_validation;
         ] );
       ( "workload",
         [
@@ -830,6 +1041,8 @@ let () =
           Alcotest.test_case "validation" `Quick test_engine_validation;
           Alcotest.test_case "retry at deadline expires" `Quick
             test_retry_at_deadline_expires;
+          Alcotest.test_case "a cut holds only live work" `Quick
+            test_cut_holds_only_live_work;
         ] );
       ( "policy",
         [

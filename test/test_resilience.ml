@@ -136,6 +136,93 @@ let test_restore_flag_mismatch_refused () =
         has no faults or reconfiguration configured (flags differ)")
     (fun () -> ignore (Engine.run ~restore_from:snap g params ~requests:reqs))
 
+(* A snapshot in the previous format gets the friendly version error,
+   both parsed directly and read from an intact checkpoint file. *)
+let test_previous_snapshot_version_refused () =
+  let _, _, snap = snapshot_of 3 in
+  let doc =
+    match Engine.snapshot_to_sexp snap with
+    | Sexp.List (_ :: fields) ->
+        Sexp.list (Sexp.atom "muerp-engine-snapshot/2" :: fields)
+    | Sexp.List [] | Sexp.Atom _ -> Alcotest.fail "snapshot is not a list"
+  in
+  let names_both m =
+    Astring.String.is_infix
+      ~affix:
+        "unsupported snapshot version muerp-engine-snapshot/2 (this build \
+         reads muerp-engine-snapshot/3)"
+      m
+  in
+  (match Engine.snapshot_of_sexp doc with
+  | Error m -> check_bool "names both versions" true (names_both m)
+  | Ok _ -> Alcotest.fail "parsed a /2 snapshot");
+  let path = Filename.temp_file "muerp_v2" ".ckpt" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      (match
+         Checkpoint.write_with_footer ~path (fun oc ->
+             output_string oc "muerp-checkpoint/1\n(config \"v2\")\n";
+             Sexp.output oc doc;
+             output_char oc '\n')
+       with
+      | Ok _ -> ()
+      | Error m -> Alcotest.fail m);
+      match Checkpoint.load ~path ~config:"v2" with
+      | Error m ->
+          check_bool "the file error names both versions" true (names_both m)
+      | Ok _ -> Alcotest.fail "loaded a /2 checkpoint")
+
+(* The scheduled sequences are not in the snapshot, only cursors into
+   them; a restore rebuilds them from its own inputs and must refuse,
+   naming the sequence, when those inputs differ from the original
+   run's — never continue on a different fault or reconfig timeline. *)
+let test_restore_schedule_mismatch_refused () =
+  let g = network 61 in
+  let reqs = generated 62 g in
+  let faults seed =
+    Model.make ~mtbf:30. ~mttr:5. ~targets:Model.Both ~seed ()
+  in
+  let switch = List.hd (Graph.switches g) in
+  let reconfig =
+    [
+      { Reconfig.time = 6.; change = Reconfig.Switch_leave switch };
+      { Reconfig.time = 15.; change = Reconfig.Switch_join switch };
+    ]
+  in
+  let captured = ref None in
+  let _ =
+    Engine.run ~faults:(faults 63) ~reconfig
+      ~checkpoint:(12., fun _ s -> if !captured = None then captured := Some s)
+      g params ~requests:reqs
+  in
+  let snap = Option.get !captured in
+  let refused what affix run =
+    match run () with
+    | _ -> Alcotest.fail (what ^ ": restore continued")
+    | exception Invalid_argument m ->
+        check_bool (what ^ ": " ^ m) true (Astring.String.is_infix ~affix m)
+  in
+  refused "different fault seed" "the fault schedule differs" (fun () ->
+      Engine.run ~faults:(faults 64) ~reconfig ~restore_from:snap g params
+        ~requests:reqs);
+  refused "no faults"
+    "the fault schedule differs from the snapshot's (0 events here"
+    (fun () -> Engine.run ~reconfig ~restore_from:snap g params ~requests:reqs);
+  refused "different reconfig list" "the reconfiguration list differs"
+    (fun () ->
+      Engine.run ~faults:(faults 63) ~restore_from:snap g params
+        ~requests:reqs
+        ~reconfig:
+          [
+            { Reconfig.time = 6.; change = Reconfig.Switch_leave switch };
+            { Reconfig.time = 16.; change = Reconfig.Switch_join switch };
+          ]);
+  (* and the matching inputs still restore *)
+  ignore
+    (Engine.run ~faults:(faults 63) ~reconfig ~restore_from:snap g params
+       ~requests:reqs)
+
 let test_checkpoint_stateful_policy_gate () =
   let g = network 7 in
   let reqs = generated 8 g in
@@ -733,6 +820,13 @@ let test_delta_rejects_wrong_base () =
             (Astring.String.is_infix ~affix:"malformed delta" m)
       | Ok _ -> Alcotest.fail "parsed junk as a delta");
       (match
+         Delta.of_sexp (Sexp.list [ Sexp.atom "muerp-snapshot-delta/1" ])
+       with
+      | Error m ->
+          check_bool "names the previous version" true
+            (Astring.String.is_infix ~affix:"unsupported delta version" m)
+      | Ok _ -> Alcotest.fail "parsed a /1 delta");
+      (match
          Delta.of_sexp (Sexp.list [ Sexp.atom "muerp-snapshot-delta/999" ])
        with
       | Error m ->
@@ -988,6 +1082,10 @@ let () =
             test_cached_policy_restore_equivalence;
           Alcotest.test_case "hier policy restore equivalence" `Quick
             test_hier_policy_restore_equivalence;
+          Alcotest.test_case "previous version refused" `Quick
+            test_previous_snapshot_version_refused;
+          Alcotest.test_case "schedule mismatch refused" `Quick
+            test_restore_schedule_mismatch_refused;
         ] );
       ( "checkpoint-file",
         [

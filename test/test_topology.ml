@@ -166,6 +166,70 @@ let test_waxman_prefers_short_edges () =
   (* Mean distance between uniform points in a 10k square is ~5214. *)
   check_bool "bias toward short fibers" true (mean_len < 3500.)
 
+(* The selection before the bounded heap, kept as the reference: box
+   every keyed pair onto a list (later pairs first), stable-sort it by
+   key descending and keep the first [target_edges]. *)
+let waxman_reference ?(params = Waxman.default_params) rng spec =
+  let n = Spec.vertex_count spec in
+  let points = Layout.random_points rng ~area:spec.Spec.area n in
+  let roles = Assemble.assign_roles rng spec in
+  let scale =
+    params.Waxman.alpha_w *. Layout.max_distance ~area:spec.Spec.area
+  in
+  let keyed = ref [] in
+  for u = 0 to n - 1 do
+    for v = u + 1 to n - 1 do
+      let d = Layout.distance points.(u) points.(v) in
+      let w = exp (-.d /. scale) in
+      let u01 = Float.max 1e-300 (Prng.float rng 1.) in
+      keyed := (log u01 /. w, (u, v)) :: !keyed
+    done
+  done;
+  let sorted = List.sort (fun (k1, _) (k2, _) -> Float.compare k2 k1) !keyed in
+  let budget = Spec.target_edges spec in
+  let edges = List.filteri (fun i _ -> i < budget) sorted |> List.map snd in
+  Assemble.build spec ~points ~roles ~edges
+
+let edge_list g = List.init (Graph.edge_count g) (Graph.edge g)
+
+let test_waxman_matches_reference () =
+  List.iter
+    (fun (switches, seeds) ->
+      List.iter
+        (fun seed ->
+          let spec = Spec.create ~n_users:10 ~n_switches:switches () in
+          let g = Waxman.generate (Prng.create seed) spec in
+          let r = waxman_reference (Prng.create seed) spec in
+          check_bool
+            (Printf.sprintf "%d switches, seed %d: same edges, same ids"
+               switches seed)
+            true
+            (edge_list g = edge_list r))
+        seeds)
+    [ (100, [ 1; 2; 3; 4 ]); (400, [ 5; 6 ]); (1000, [ 7 ]); (2000, [ 8 ]) ]
+
+let test_waxman_top_pairs_ties () =
+  (* Forced ties: the keys take three values, so the stable reference
+     order is decided by index alone within each value. *)
+  let reference ~m keys =
+    let keyed = ref [] in
+    Array.iteri (fun i k -> keyed := (k, i) :: !keyed) keys;
+    List.sort (fun (k1, _) (k2, _) -> Float.compare k2 k1) !keyed
+    |> List.filteri (fun i _ -> i < m)
+    |> List.map snd |> Array.of_list
+  in
+  let rng = Prng.create 11 in
+  let keys = Array.init 500 (fun _ -> -.float_of_int (Prng.int rng 3)) in
+  List.iter
+    (fun m ->
+      Alcotest.(check (array int))
+        (Printf.sprintf "top %d of 500 tied keys" m)
+        (reference ~m keys)
+        (Waxman.top_pairs ~m keys))
+    [ 0; 1; 7; 166; 167; 499; 500; 900 ];
+  Alcotest.(check (array int)) "all equal: latest first" [| 4; 3; 2 |]
+    (Waxman.top_pairs ~m:3 (Array.make 5 (-1.)))
+
 let test_waxman_classic_mode () =
   (* Classic accept/reject: still connected after repair, and a higher
      beta produces denser graphs on average. *)
@@ -291,6 +355,10 @@ let () =
           Alcotest.test_case "waxman short bias" `Quick
             test_waxman_prefers_short_edges;
           Alcotest.test_case "waxman classic" `Quick test_waxman_classic_mode;
+          Alcotest.test_case "waxman = sort reference" `Quick
+            test_waxman_matches_reference;
+          Alcotest.test_case "waxman top pairs ties" `Quick
+            test_waxman_top_pairs_ties;
           Alcotest.test_case "ws degree" `Quick test_watts_strogatz_degree;
           Alcotest.test_case "ws lattice" `Quick
             test_watts_strogatz_beta_zero_is_lattice;

@@ -35,40 +35,26 @@ let validate_groups g groups =
 
 let c_rounds = Qnet_telemetry.Metrics.counter "core.alg4.grow_rounds"
 
+type attachment =
+  ?exclude:Routing.exclusion ->
+  ?budget:Qnet_overload.Budget.t ->
+  Graph.t ->
+  Params.t ->
+  capacity:Capacity.t ->
+  inside:int list ->
+  outside:(int -> bool) ->
+  Channel.t option
+
 (* One best channel from the grown set to an outside user of the group,
-   under the shared residual capacity.  With an [oracle] the attachment
-   becomes per-pair point queries (the oracle is expected to make each
-   query cheap — e.g. hierarchically); without one it is a single
-   multi-source search ({!Routing.best_attachment}). *)
-let best_attachment ?exclude ?budget ?oracle g params ~capacity ~inside
-    ~outside_users =
-  match oracle with
-  | Some (query : Routing.channel_oracle) ->
-      let exclude = Option.value exclude ~default:Routing.no_exclusion in
-      let best = ref None in
-      Hashtbl.iter
-        (fun src () ->
-          List.iter
-            (fun dst ->
-              match query ~exclude ~budget ~capacity ~src ~dst with
-              | Some (c : Channel.t) -> (
-                  match !best with
-                  | Some (b : Channel.t)
-                    when Logprob.compare_desc b.rate c.rate <= 0 ->
-                      ()
-                  | _ -> best := Some c)
-              | None -> ())
-            outside_users)
-        inside;
-      !best
-  | None ->
-      (* In table order: the q = 0 direct-fiber scan breaks rate ties
-         by it, as the oracle scan above does. *)
-      let inside =
-        List.rev (Hashtbl.fold (fun u () acc -> u :: acc) inside [])
-      in
-      Routing.best_attachment ?exclude ?budget g params ~capacity ~inside
-        ~outside:(fun v -> List.mem v outside_users)
+   under the shared residual capacity: one Prim step.  Inside users go
+   in table order, which the q = 0 direct-fiber scan breaks rate ties
+   by. *)
+let best_attachment ?exclude ?budget
+    ?(oracle = (Routing.best_attachment : attachment)) g params ~capacity
+    ~inside ~outside_users =
+  let inside = List.rev (Hashtbl.fold (fun u () acc -> u :: acc) inside []) in
+  oracle ?exclude ?budget g params ~capacity ~inside
+    ~outside:(fun v -> List.mem v outside_users)
 
 let prim_for_users ?exclude ?budget ?oracle g params ~capacity ~users =
   match users with

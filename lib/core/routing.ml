@@ -137,17 +137,6 @@ let best_channels_from ?(exclude = no_exclusion) ?budget g params ~capacity
              | Some c -> Some (u, c))
   end
 
-type channel_oracle =
-  exclude:exclusion ->
-  budget:Qnet_overload.Budget.t option ->
-  capacity:Capacity.t ->
-  src:int ->
-  dst:int ->
-  Channel.t option
-
-let flat_oracle g params ~exclude ~budget ~capacity ~src ~dst =
-  best_channel ~exclude ?budget g params ~capacity ~src ~dst
-
 let all_pairs_best ?exclude ?budget g params ~capacity ~users =
   let users = List.sort_uniq compare users in
   List.concat_map

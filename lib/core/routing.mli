@@ -87,25 +87,6 @@ val best_channels_from :
     order — the paper's optimisation that drops the all-pairs phase of
     Algorithm 2 from [|U|²] to [|U|] Dijkstra runs. *)
 
-type channel_oracle =
-  exclude:exclusion ->
-  budget:Qnet_overload.Budget.t option ->
-  capacity:Capacity.t ->
-  src:int ->
-  dst:int ->
-  Channel.t option
-(** A point best-channel query as a first-class value — the seam that
-    lets higher layers (Algorithm 4 via {!Multi_group.prim_for_users},
-    the online policies) swap the flat whole-graph Dijkstra for an
-    alternative strategy such as the hierarchical router in
-    [Qnet_hier].  Contract: the returned channel joins [src] and [dst],
-    crosses no element ruled out by [exclude], and is capacity-feasible
-    under [capacity] {e without consuming from it}; [budget] meters the
-    work and may raise {!Qnet_overload.Budget.Exhausted}. *)
-
-val flat_oracle : Qnet_graph.Graph.t -> Params.t -> channel_oracle
-(** {!best_channel} packaged as an oracle — the identity plug. *)
-
 val all_pairs_best :
   ?exclude:exclusion ->
   ?budget:Qnet_overload.Budget.t ->

@@ -83,6 +83,45 @@ val nearest :
     @raise Qnet_overload.Budget.Exhausted when the fuel runs out; the
     work done so far is still counted and the workspace returned. *)
 
+type settled
+(** Read access to the workspace of a finished {!settle} search.  Valid
+    only inside that search's [read] callback: the workspace is reused
+    by the next search. *)
+
+val settle :
+  Graph.t ->
+  sources:int list ->
+  weight:(Graph.edge -> float) ->
+  ?admit:(int -> bool) ->
+  ?expand:(int -> bool) ->
+  ?edge_ok:(int -> bool) ->
+  ?budget:Qnet_overload.Budget.t ->
+  read:(settled -> 'a) ->
+  unit ->
+  'a
+(** [settle g ~sources ~weight ~read ()] runs {!nearest} without a stop
+    rule — it settles everything reachable — and returns [read]
+    applied to the result, so one search answers distance and path
+    queries to many targets ({!settled_dist}, {!settled_path}).  It
+    pushes, pops and relaxes exactly what {!nearest} with a never-true
+    [stop] would, on the same per-domain workspace, so a
+    region-restricted search (an [admit] that rejects other regions)
+    costs what it settles, not the size of the graph.  It is not added
+    to the [graph.dijkstra.*] counters, which count the searches that
+    produce channels; callers count their own runs.
+    @raise Invalid_argument on a bad source or a negative relaxed edge
+    weight.
+    @raise Qnet_overload.Budget.Exhausted when the fuel runs out. *)
+
+val settled_dist : settled -> int -> float
+(** Shortest distance from the nearest source, [infinity] when
+    unreached. *)
+
+val settled_path : settled -> int -> (int list * int list) option
+(** The vertex path from the nearest source to the vertex, both ends
+    included, with the ids of the edges along it (one fewer); [None]
+    when unreached. *)
+
 val extract_path : dijkstra_result -> source:int -> target:int -> int list option
 (** The vertex sequence [source; …; target] along the recorded
     predecessors, or [None] if [target] was unreachable. *)

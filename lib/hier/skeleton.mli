@@ -1,7 +1,8 @@
 (** The contracted gateway graph and its cached region segments.
 
     The skeleton has one node per gateway (border switch) plus, per
-    query, two virtual endpoints.  Its edges are:
+    query, two virtual endpoints: a source standing for a set of users
+    and a target standing for another.  Its edges are:
 
     - {e inter-region} fibers — the physical switch-to-switch edges
       crossing a region border, at their exact −log-rate weight;
@@ -25,7 +26,8 @@
     {!Serve.attach_health}).
 
     The skeleton search itself is A-star: the heuristic is euclidean
-    distance to the destination times a per-km −log-rate lower bound
+    distance to the nearest target user times a per-km −log-rate lower
+    bound
     (attenuation [alpha] plus one swap spread over the longest fiber),
     admissible because fiber length equals euclidean distance.  Goal
     direction keeps the lazy cache fill confined to corridor-adjacent
@@ -35,7 +37,10 @@
     should the exact search look at?}  The result is a corridor — the
     region sequence under the best gateway-level route — and the caller
     ({!Oracle}) re-runs the exact flat Dijkstra restricted to corridor
-    vertices to produce the concrete channel.  Telemetry:
+    vertices to produce the concrete channel.  The exact searches
+    (endpoint attachment and segments) run on the shared
+    {!Qnet_graph.Paths.settle} workspace and are not counted in
+    [graph.dijkstra.*].  Telemetry:
     [hier.segment_sssp], [hier.segment_hits], [hier.segment_stale],
     [hier.skeleton_routes]. *)
 
@@ -55,22 +60,36 @@ val node_count : t -> int
 val inter_edge_count : t -> int
 (** Cross-region switch-to-switch fibers. *)
 
-val route :
+val route_sets :
   t ->
   exclude:Qnet_core.Routing.exclusion ->
   budget:Qnet_overload.Budget.t option ->
   capacity:Qnet_core.Capacity.t ->
-  src:int ->
-  dst:int ->
+  inside:int list ->
+  outside:int list ->
   int list option
-(** [route t ~src ~dst] runs Dijkstra over the skeleton between user
-    vertices [src] and [dst] (attached to their regions' gateways by
-    two region-restricted exact searches) and returns the corridor: the
-    distinct region labels along the best gateway route, in path order,
-    [src]'s region first.  [None] when the skeleton offers no
-    capacity-feasible gateway route.  Expects [src] and [dst] in
-    different regions (same-region queries never need the skeleton).
-    [budget] meters the underlying exact searches. *)
+(** [route_sets t ~inside ~outside] routes the skeleton from the set of
+    user vertices [inside] to the set [outside] — one Prim step of
+    Algorithm 4 — and returns the corridor for the exact search.
+
+    A virtual source reaches the gateways through one region-restricted
+    exact search per inside user, keeping the least distance per
+    gateway; a virtual target is reached the same way from every
+    outside user.  The {e local edge} joins the two virtual nodes
+    directly, weighted by the best same-region inside-to-outside
+    distance (read from the inside users' own searches).  One A-star
+    search follows, its heuristic [h_rate] times the straight-line
+    distance to the nearest outside user.
+
+    The corridor is the distinct region labels under the winning
+    gateway route, in path order (the first holds the attaching inside
+    user, the last the reached outside user), or the local edge's one
+    region when that wins.  [None] when neither offers a
+    capacity-feasible route.  With one user on each side in different
+    regions this is the point query {!Oracle.best_channel} makes; it
+    pushes the same heap entries in the same order as the two-endpoint
+    search it replaced.  [budget] meters the underlying exact
+    searches.  [outside] must not meet [inside]. *)
 
 val export : t -> Qnet_util.Sexp.t
 (** Serialise the segment cache exactly — every cached entry (costs,

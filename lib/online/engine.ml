@@ -1807,11 +1807,16 @@ let run ?config:(cfg = config Policy.prim) ?faults ?fault_schedule ?on_incident
   in
   Option.iter restore_state restore_from;
   (* An event that can no longer change any outcome must not stretch the
-     makespan or the utilization window. *)
+     makespan or the utilization window.  A retry is stale once its
+     request has settled or stopped waiting ([on_retry] ignores it). *)
   let inert = function
     | Fault _ | Reconf _ -> !unresolved = 0
     | Expiry lid -> not (Hashtbl.mem active lid)
-    | Arrival _ | Retry _ -> false
+    | Retry id -> (
+        match Hashtbl.find_opt states id with
+        | None -> true
+        | Some st -> not st.waiting)
+    | Arrival _ -> false
   in
   let dispatch ?spec t ev =
     if not (inert ev) then begin

@@ -1010,6 +1010,48 @@ let test_engine_inside_parallel_region () =
           check_bool "nested run equals serial" true (fst got = fst base)
       | None -> Alcotest.fail "nested run never happened")
 
+
+(* A retry whose request has settled (or stopped waiting) changes
+   nothing, so it must not stretch the makespan: without faults the
+   makespan is the last arrival or settlement.  Under queue pressure
+   (max_queue 3, Poisson 2/t on 20 switches) shed and rescanned
+   requests leave such retries behind; seed 27 once reported makespan
+   25.87 against a last settlement at 25.71. *)
+let test_stale_retries_inert () =
+  let last_event outcomes =
+    List.fold_left
+      (fun acc (o : Engine.outcome) ->
+        let settled =
+          match o.Engine.resolution with
+          | Engine.Served { finish; _ } -> finish
+          | Engine.Rejected { at; _ }
+          | Engine.Shed { at; _ }
+          | Engine.Expired { at; _ }
+          | Engine.Interrupted { at; _ } ->
+              at
+        in
+        Float.max acc (Float.max settled o.Engine.request.Workload.arrival))
+      0. outcomes
+  in
+  let run seed =
+    let g = network ~switches:20 seed in
+    let requests =
+      Workload.generate (Prng.create seed) g
+        (Workload.spec ~requests:40 ~arrivals:(Workload.Poisson 2.) ())
+    in
+    let overload = Qnet_overload.Admission.make ~max_queue:3 () in
+    Engine.run ~config:(Engine.config ~overload Policy.prim) g params ~requests
+  in
+  let report, outcomes = run 27 in
+  Alcotest.(check (float 1e-9))
+    "seed 27 makespan" (last_event outcomes) report.Engine.makespan;
+  for seed = 1 to 200 do
+    let report, outcomes = run seed in
+    if report.Engine.makespan <> last_event outcomes then
+      Alcotest.failf "seed %d: makespan %g, last event %g" seed
+        report.Engine.makespan (last_event outcomes)
+  done
+
 let () =
   Alcotest.run "online"
     [
@@ -1043,6 +1085,8 @@ let () =
             test_retry_at_deadline_expires;
           Alcotest.test_case "a cut holds only live work" `Quick
             test_cut_holds_only_live_work;
+          Alcotest.test_case "stale retries are inert" `Quick
+            test_stale_retries_inert;
         ] );
       ( "policy",
         [

@@ -224,7 +224,9 @@ echo "== hier smoke =="
 hier_a=$(mktemp -t muerp_hier_a.XXXXXX)
 hier_b=$(mktemp -t muerp_hier_b.XXXXXX)
 hier_j2=$(mktemp -t muerp_hier_j2.XXXXXX)
-trap 'rm -f "$run_a" "$run_b" "$hier_a" "$hier_b" "$hier_j2"' EXIT
+hier_ckpt=$(mktemp -t muerp_hier_ckpt.XXXXXX)
+trap 'rm -f "$run_a" "$run_b" "$hier_a" "$hier_b" "$hier_j2" "$hier_ckpt" \
+  "$hier_a.tbl" "$hier_b.tbl"' EXIT
 hier_flags="--topology continent --regions 4 --switches 120 --users 12 \
   --hier --seed 42 -n 40"
 dune exec bin/muerp_cli.exe -- traffic $hier_flags --jobs 1 >"$hier_a"
@@ -234,6 +236,18 @@ cmp "$hier_a" "$hier_b" ||
 dune exec bin/muerp_cli.exe -- traffic $hier_flags --jobs 2 >"$hier_j2"
 cmp "$hier_a" "$hier_j2" ||
   { echo "hier traffic run differs between --jobs 1 and --jobs 2" >&2; exit 1; }
+# Halted at a checkpoint and restored, a hier run must finish with the
+# uninterrupted run's report: the skeleton's segment cache rides in the
+# snapshot, and a cold cache could pick other corridors.
+dune exec bin/muerp_cli.exe -- traffic $hier_flags --checkpoint-every 5 \
+  --checkpoint "$hier_ckpt" --halt-at 10 >/dev/null
+dune exec bin/muerp_cli.exe -- traffic $hier_flags --restore "$hier_ckpt" \
+  >"$hier_b"
+grep '^|' "$hier_a" >"$hier_a.tbl"
+grep '^|' "$hier_b" >"$hier_b.tbl"
+cmp "$hier_a.tbl" "$hier_b.tbl" ||
+  { echo "restored hier report differs from the uninterrupted run" >&2
+    exit 1; }
 hier_served=$(awk '$2 == "served" { print $4 }' "$hier_a")
 [ -n "$hier_served" ] && [ "$hier_served" -gt 0 ] ||
   { echo "hier smoke served nothing (served=$hier_served)" >&2; exit 1; }
@@ -242,7 +256,7 @@ dune exec bin/muerp_cli.exe -- solve --topology continent --regions 4 \
   --switches 120 --users 12 --hier --seed 42 |
   grep -q "^hier-prim:" ||
   { echo "solve --hier printed no hier-prim tree" >&2; exit 1; }
-echo "hier reproducible at --jobs 1 and 2, served=$hier_served"
+echo "hier reproducible at --jobs 1 and 2 and across a restore, served=$hier_served"
 
 echo "== flow smoke =="
 # The flow optimizer must (a) print byte-identical output twice and at

@@ -357,6 +357,50 @@ let test_nearest_scratch_reuse () =
     "nested search" (Some expect_big) !inner;
   Alcotest.(check (option (list int))) "big after nesting" expect_big (big_path ())
 
+
+(* One full search answers every target: [settled_dist]/[settled_path]
+   are [dijkstra]'s distances and paths, with the path's edge ids, under
+   the same filters — and the search adds nothing to the counters. *)
+let test_settle_reads () =
+  let g, (_, v1, v2, _, _) = diamond () in
+  let n = Graph.vertex_count g in
+  List.iter
+    (fun (admit, expand) ->
+      for s = 0 to n - 1 do
+        let r =
+          Paths.dijkstra g ~source:s ~weight:length_weight ~admit ~expand ()
+        in
+        let read ws =
+          List.init n (fun t ->
+              (Paths.settled_dist ws t, Paths.settled_path ws t))
+        in
+        let got =
+          with_metrics (fun () ->
+              let got =
+                Paths.settle g ~sources:[ s ] ~weight:length_weight ~admit
+                  ~expand ~read ()
+              in
+              check_int "not counted" 0 (counter "graph.dijkstra.runs");
+              got)
+        in
+        List.iteri
+          (fun t (d, p) ->
+            let what = Printf.sprintf "%d -> %d" s t in
+            Alcotest.(check (float 0.)) what r.Paths.dist.(t) d;
+            Alcotest.(check (option (pair (list int) (list int))))
+              what
+              (Option.map
+                 (fun vs -> (vs, Paths.path_edges g vs))
+                 (Paths.extract_path r ~source:s ~target:t))
+              p)
+          got
+      done)
+    [
+      ((fun _ -> true), fun _ -> true);
+      ((fun v -> v <> v1), fun _ -> true);
+      ((fun _ -> true), fun v -> v <> v2);
+    ]
+
 let () =
   Alcotest.run "paths"
     [
@@ -384,6 +428,7 @@ let () =
           Alcotest.test_case "multi-source" `Quick test_nearest_multi_source;
           Alcotest.test_case "rejects" `Quick test_nearest_rejects;
           Alcotest.test_case "scratch reuse" `Quick test_nearest_scratch_reuse;
+          Alcotest.test_case "settle reads" `Quick test_settle_reads;
         ] );
       ( "traversal",
         [
